@@ -24,6 +24,13 @@ Rational = Union[int, Fraction]
 Support = tuple[int, ...]
 
 
+def _exact(c: Rational) -> Fraction:
+    """Fraction of an exact coefficient; a float has already lost exactness."""
+    if isinstance(c, float):
+        raise TypeError(f"coefficient {c!r} is a float; pass an int or a Fraction")
+    return Fraction(c)
+
+
 def _check_support(n: int, support: Sequence[int]) -> Support:
     sup = tuple(int(i) for i in support)
     for a, b in zip(sup, sup[1:]):
@@ -76,6 +83,8 @@ class Multivector:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Support, Fraction] = {}
         for support, coeff in items:
+            if isinstance(coeff, float):
+                raise TypeError(f"coefficient {coeff!r} is a float; pass an int or a Fraction")
             sup = _check_support(n, tuple(support))
             c = acc.get(sup, Fraction(0)) + Fraction(coeff)
             if c == 0:
@@ -161,7 +170,7 @@ class Multivector:
         return self.scale(-1)
 
     def scale(self, c: Rational) -> "Multivector":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return Multivector.zero(self.n)
         out = Multivector.__new__(Multivector)
@@ -250,7 +259,7 @@ class LinearMap:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries: Iterable[Iterable[Rational]]):
-        rows = tuple(tuple(Fraction(c) for c in row) for row in entries)
+        rows = tuple(tuple(_exact(c) for c in row) for row in entries)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("entries must form a nonempty square matrix")
@@ -272,7 +281,7 @@ class LinearMap:
         if i == j or not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"shear needs distinct indices in [1, {n}], got ({i}, {j})")
         rows = [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)]
-        rows[j - 1][i - 1] = Fraction(t)
+        rows[j - 1][i - 1] = _exact(t)
         return cls(rows)
 
     @classmethod
@@ -282,7 +291,7 @@ class LinearMap:
         Weights every monomial by t to the negated binary weight of its
         support, so distinct supports get distinct powers of t.
         """
-        t = Fraction(t)
+        t = _exact(t)
         if t == 0:
             raise ValueError("weight diagonal needs a nonzero parameter")
         return cls.diagonal([Fraction(1) / t ** (2 ** i) for i in range(1, n + 1)])

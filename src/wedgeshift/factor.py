@@ -167,7 +167,7 @@ def complement_pair_space(k: int) -> Subspace:
         raise FalsificationError(f"complement-pair span has dimension {V.dim}")
     if not self_annihilating(V):
         raise FalsificationError("complement-pair span is not self-annihilating")
-    for r in rows:
+    for r in V.rows:  # equal to the built rows: each pivot is the row's 1-containing set
         if linear_factors(r).dim != 0:
             raise FalsificationError(f"spanning element {r} has a linear factor")
     if common_annihilator(V).dim != 0:

@@ -22,7 +22,7 @@ from .errors import BudgetExceededError, FalsificationError, IterationLimitError
 from .exterior import LinearMap, Multivector, Rational, apply_linear
 from .families import ShiftPair, combinatorial_shift, is_shifted
 from .poly import Poly
-from .subspace import PlueckerVector, Subspace, _nullspace, span
+from .subspace import _PLUECKER_CAP, PlueckerVector, Subspace, span
 
 PairLike = Union[ShiftPair, tuple[int, int]]
 
@@ -59,25 +59,15 @@ def shift_map(x: Multivector, pair: PairLike) -> Multivector:
 def limit_shift(V: Subspace, pair: PairLike) -> Subspace:
     """Limit of the shear action replacing index i by j, as the parameter grows
     without bound: the image of the replacement map plus the members of V whose
-    image lands back in V.  Dimension is preserved; the result is idempotent
+    image lands back in V.  When every image already lies in V the limit is V
+    itself, returned as is.  Dimension is preserved; the result is idempotent
     under the same pair."""
     p = _as_pair(pair, V.n)
     images = [shift_map(r, p) for r in V.rows]
-    phi_V = Subspace(V.order, images)
-    # the image of any member lies in phi(V), so membership in V is the whole test
-    cols = [V._vectorize(img) for img in images] + [V._vectorize(r) for r in V.rows]
-    members = list(phi_V.rows)
-    if cols:
-        ncols = len(cols)
-        nrows = len(cols[0])
-        matrix = [[cols[c][r] for c in range(ncols)] for r in range(nrows)]
-        for vec in _nullspace(matrix, ncols):
-            acc = Multivector.zero(V.n)
-            for coeff, row in zip(vec[: V.dim], V.rows):
-                if coeff:
-                    acc = acc + row.scale(coeff)
-            members.append(acc)
-    out = Subspace(V.order, members)
+    members = V._members_mapped_into(images, V)
+    if len(members) == V.dim:
+        return V
+    out = Subspace(V.order, images + members)
     if out.dim != V.dim:
         raise FalsificationError(
             f"shear limit changed dimension: {V.dim} -> {out.dim} at pair ({p.i}, {p.j})"
@@ -142,7 +132,7 @@ def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
     base = [V._vectorize(r) for r in V.rows]
     moved = [V._vectorize(shift_map(r, p)) for r in V.rows]
     ncoords = comb(len(supports), m)
-    if ncoords > 1_000_000:
+    if ncoords > _PLUECKER_CAP:
         raise BudgetExceededError(f"Pluecker oracle would need {ncoords} coordinates")
     poly_rows = [
         [Poly([base[r][c], moved[r][c]]) for c in range(len(supports))] for r in range(m)

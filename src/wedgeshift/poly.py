@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .exterior import _exact
+
 Rational = Union[int, Fraction]
 
 
@@ -20,7 +22,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)

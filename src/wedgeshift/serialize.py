@@ -19,6 +19,18 @@ from .limits import TraceStep
 from .subspace import MonomialOrder, ORDER_KINDS, Subspace
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_types(obj: dict, what: str, list_key: str) -> None:
+    for key in ("n", "k"):
+        if not _is_int(obj[key]):
+            raise ParseError(f"{what} record {key!r} must be an integer")
+    if not isinstance(obj[list_key], list):
+        raise ParseError(f"{what} record {list_key!r} must be a list")
+
+
 def family_record(F: SetFamily) -> dict:
     return {"n": F.n, "k": F.k, "sets": [list(s) for s in F.sets]}
 
@@ -27,12 +39,11 @@ def family_from_record(obj: dict) -> SetFamily:
     for key in ("n", "k", "sets"):
         if key not in obj:
             raise ParseError(f"family record is missing {key!r}")
+    _check_types(obj, "family", "sets")
     sets = obj["sets"]
-    if not isinstance(sets, list):
-        raise ParseError("family 'sets' must be a list of index lists")
     seen = set()
     for pos, s in enumerate(sets):
-        if not isinstance(s, list) or not all(isinstance(i, int) for i in s):
+        if not isinstance(s, list) or not all(_is_int(i) for i in s):
             raise ParseError(f"set #{pos + 1} is not a list of integers")
         key = tuple(sorted(s))
         if key in seen:
@@ -57,7 +68,10 @@ def subspace_from_record(obj: dict) -> Subspace:
     for key in ("n", "k", "basis"):
         if key not in obj:
             raise ParseError(f"subspace record is missing {key!r}")
+    _check_types(obj, "subspace", "basis")
     kind = obj.get("order", "lex")
+    if not isinstance(kind, str):
+        raise ParseError("subspace record 'order' must be a string")
     if kind not in ORDER_KINDS:
         raise ParseError(f"unknown monomial order {kind!r}")
     try:

@@ -226,15 +226,48 @@ class Subspace:
         if not x.is_zero and x.grade != self.k:
             raise GroundMismatchError(f"grade {x.grade} element against a grade-{self.k} subspace")
 
+    def _residue(self, x: Multivector) -> dict[Support, Fraction]:
+        """Terms of x reduced against the canonical rows: zero exactly on V.
+
+        Each row vanishes at every other row's pivot, so one pass clears all
+        pivots and the map x -> residue is linear with kernel V."""
+        acc = dict(x.terms)
+        for row, piv in zip(self.rows, self._pivots):
+            c = acc.get(piv)
+            if c:
+                for sup, v in row.terms.items():
+                    w = acc.get(sup, 0) - c * v
+                    if w:
+                        acc[sup] = w
+                    else:
+                        del acc[sup]
+        return acc
+
     def contains(self, x: Multivector) -> bool:
         """True iff x reduces to zero against the canonical rows."""
         self._check_member_input(x)
-        residue = x
-        for row, piv in zip(self.rows, self._pivots):
-            c = residue.coefficient(piv)
-            if c:
-                residue = residue - row.scale(c)
-        return residue.is_zero
+        return not self._residue(x)
+
+    def _members_mapped_into(
+        self, images: Sequence[Multivector], W: "Subspace"
+    ) -> list[Multivector]:
+        """Basis of the combinations sum c_i r_i of the canonical rows r_i whose
+        image sum c_i images[i] lies in W: the kernel of the residues modulo W,
+        a dim-column matrix over only the supports those residues touch.  When
+        every image lies in W this is the rows themselves."""
+        residues = [W._residue(x) for x in images]
+        touched = set().union(*residues)
+        if not touched:
+            return list(self.rows)
+        matrix = [[res.get(sup, 0) for res in residues] for sup in touched]
+        members = []
+        for vec in _nullspace(matrix, self.dim):
+            acc = Multivector.zero(self.n)
+            for coeff, row in zip(vec, self.rows):
+                if coeff:
+                    acc = acc + row.scale(coeff)
+            members.append(acc)
+        return members
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -243,21 +276,11 @@ class Subspace:
     __add__ = sum
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Exact intersection via the kernel of the stacked spanning columns."""
+        """Exact intersection: the members of V that reduce to zero modulo W."""
         self._check_compatible(other)
-        if self.is_zero or other.is_zero:
-            return Subspace(self.order)
-        cols = [self._vectorize(r) for r in self.rows] + [other._vectorize(r) for r in other.rows]
-        ncols = len(cols)
-        nrows = len(cols[0])
-        matrix = [[cols[c][r] for c in range(ncols)] for r in range(nrows)]
-        members = []
-        for vec in _nullspace(matrix, ncols):
-            acc = Multivector.zero(self.n)
-            for coeff, row in zip(vec[: self.dim], self.rows):
-                if coeff:
-                    acc = acc + row.scale(coeff)
-            members.append(acc)
+        members = self._members_mapped_into(self.rows, other)
+        if len(members) == self.dim:
+            return self
         return Subspace(self.order, members)
 
     def _check_compatible(self, other: "Subspace") -> None:

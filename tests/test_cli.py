@@ -172,6 +172,26 @@ class TestExitCodes:
         assert code == 2 and "falsification" in err
 
 
+class TestRecordValidation:
+    """Mistyped record fields exit 1 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("verb, record", [
+        ("pipeline", {"n": "6", "k": 3, "basis": ["e1^e2^e3"]}),
+        ("pipeline", {"n": 6, "k": True, "basis": ["e1^e2^e3"]}),
+        ("pipeline", {"n": 4, "k": 2, "basis": "e1^e2"}),
+        ("pipeline", {"n": 4, "k": 2, "order": ["lex"], "basis": ["e1^e2"]}),
+        ("verify-family", {"n": 4, "k": "2", "sets": [[1, 2]]}),
+        ("verify-family", {"n": 4, "k": 2, "sets": "12"}),
+        ("verify-family", {"n": 4, "k": 2, "sets": [[True, 2], [1, 3]]}),
+    ])
+    def test_mistyped_field_is_one(self, capsys, tmp_path, verb, record):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(record))
+        code, _, err = run(capsys, verb, str(p))
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, capsys, subspace_file):
         outs = []

@@ -217,6 +217,28 @@ class TestTextForm:
         assert format_multivector(x) == "3/2"
 
 
+class TestFloatsRejected:
+    def test_multivector(self):
+        with pytest.raises(TypeError, match="float"):
+            Multivector(2, {(1,): 0.1})
+
+    def test_linear_map(self):
+        with pytest.raises(TypeError, match="float"):
+            LinearMap([[1, 0], [0.5, 1]])
+        with pytest.raises(TypeError, match="float"):
+            LinearMap.shear(2, 1, 2, 0.5)
+
+    def test_poly(self):
+        from wedgeshift import Poly
+
+        with pytest.raises(TypeError, match="float"):
+            Poly([1, 0.25])
+
+    def test_exact_values_still_accepted(self):
+        assert Multivector(2, {(1,): Fraction(1, 10)}).coefficient((1,)) == Fraction(1, 10)
+        assert LinearMap([[1, 0], [Fraction(1, 2), 1]]).entry(2, 1) == Fraction(1, 2)
+
+
 class TestScalarContract:
     def test_fraction_invariants(self, rng):
         from math import gcd

@@ -1,5 +1,9 @@
 """Shear limits, initial degenerations, fixed-point drives, and their oracles."""
 
+import itertools
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from wedgeshift import (
@@ -9,6 +13,7 @@ from wedgeshift import (
     Multivector,
     SetFamily,
     ShiftPair,
+    Subspace,
     apply_linear,
     apply_shear,
     combinatorial_shift,
@@ -20,10 +25,12 @@ from wedgeshift import (
     self_annihilating,
     shift_map,
     span,
+    star_family,
     triangular_fixed_point,
 )
 from wedgeshift.sampling import (
     random_intersecting_family,
+    random_invertible,
     random_subspace,
     random_upper_triangular,
 )
@@ -75,6 +82,10 @@ class TestLimitShift:
         V = span([mv(3, "e1^e2")])
         assert limit_shift(V, ShiftPair(2, 1)) == V
 
+    def test_fixed_limit_is_the_input(self, mv):
+        V = span([mv(4, "e1^e2"), mv(4, "e1^e3 + e2^e4"), mv(4, "e1^e4")])
+        assert limit_shift(V, ShiftPair(3, 2)) is V
+
     def test_dimension_preserved(self, rng):
         order = MonomialOrder("lex", 4, 2)
         for _ in range(25):
@@ -106,6 +117,134 @@ class TestLimitShift:
             for p in decreasing_pairs(5):
                 assert self_annihilating(limit_shift(V, p))
             assert self_annihilating(initial_subspace(V))
+
+
+def _dense_kernel(matrix, ncols):
+    """Basis of {x : A x = 0} by plain Gauss-Jordan over Fractions."""
+    rows = [list(r) for r in matrix]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def reference_limit_shift(V, p):
+    """The stacked-column formula: phi(V) plus the members sum c_i r_i for which
+    sum c_i phi(r_i) + sum d_j r_j = 0, from a dense kernel of the 2*dim
+    stacked columns over all C(n,k) coordinates."""
+    supports = V.order.supports()
+    images = [shift_map(r, p) for r in V.rows]
+    cols = [[x.coefficient(s) for s in supports] for x in images + list(V.rows)]
+    matrix = [list(row) for row in zip(*cols)]
+    members = list(images)
+    for vec in _dense_kernel(matrix, len(cols)) if cols else []:
+        acc = Multivector.zero(V.n)
+        for c, row in zip(vec, V.rows):
+            acc = acc + row.scale(c)
+        members.append(acc)
+    return Subspace(V.order, members)
+
+
+class TestLimitShiftDifferential:
+    @pytest.mark.parametrize("n, k, size", [(6, 3, 7), (7, 3, 9)])
+    def test_against_stacked_columns(self, rng, n, k, size):
+        # general-position images move under every shear limit; the drive's
+        # last round is fixed by every one, so both branches run at each pair
+        order = MonomialOrder("lex", n, k)
+        pairs = decreasing_pairs(n)
+        noop, changed = Counter(), Counter()
+
+        def check(V, p):
+            got = limit_shift(V, p)
+            assert got == reference_limit_shift(V, p)
+            (noop if got == V else changed)[p] += 1
+            return got
+
+        for F in (star_family(n, k, 1), random_intersecting_family(rng, n, k, size)):
+            g = random_invertible(rng, n)
+            current = span([apply_linear(g, Multivector.monomial(n, s)) for s in F.sets], order)
+            for p in pairs:
+                check(current, p)
+            moved = True
+            while moved:
+                moved = False
+                for p in pairs:
+                    nxt = check(current, p)
+                    moved = moved or nxt != current
+                    current = nxt
+        for p in pairs:
+            assert noop[p] and changed[p], p
+
+
+def _subspace_cases(st):
+    """Hypothesis strategy: a small subspace (sparse rows, so fixed cases are
+    common) with a shear pair, at ground dimension at most 5."""
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(3, 5))
+        k = draw(st.integers(1, n - 1))
+        supports = list(itertools.combinations(range(1, n + 1), k))
+        coeff = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+        m = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(coeff, min_size=len(supports), max_size=len(supports)),
+                             min_size=m, max_size=m))
+        V = Subspace(MonomialOrder("lex", n, k),
+                     [Multivector(n, dict(zip(supports, row))) for row in rows])
+        i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        return V, ShiftPair(i, j)
+
+    return cases()
+
+
+def _given_cases(check):
+    hypothesis = pytest.importorskip("hypothesis")
+    runner = hypothesis.settings(max_examples=80, deadline=None, database=None)(
+        hypothesis.given(_subspace_cases(hypothesis.strategies))(check)
+    )
+    runner()
+
+
+class TestLimitShiftProperties:
+    def test_dimension_preserved(self):
+        def check(case):
+            V, p = case
+            assert limit_shift(V, p).dim == V.dim
+
+        _given_cases(check)
+
+    def test_idempotent(self):
+        def check(case):
+            V, p = case
+            W = limit_shift(V, p)
+            assert limit_shift(W, p) == W
+
+        _given_cases(check)
+
+    def test_agrees_with_pluecker_limit(self):
+        def check(case):
+            V, p = case
+            if V.dim:
+                assert pluecker_limit(V, p) == limit_shift(V, p).pluecker()
+
+        _given_cases(check)
 
 
 class TestCombinatorialShift:

@@ -19,6 +19,7 @@ from wedgeshift import (
 )
 from wedgeshift.sampling import (
     random_diagonal_invertible,
+    random_multivector,
     random_rational,
     random_subspace,
 )
@@ -113,6 +114,42 @@ class TestSumIntersect:
             V = random_subspace(rng, order, rng.randint(1, 3))
             W = random_subspace(rng, order, rng.randint(1, 3))
             assert V.sum(W).dim + V.intersect(W).dim == V.dim + W.dim
+
+    def test_intersect_against_sympy_ranks(self, rng):
+        sympy = pytest.importorskip("sympy")
+
+        def rank(rows, supports):
+            if not rows:
+                return 0
+            return sympy.Matrix([
+                [sympy.Rational(c.numerator, c.denominator)
+                 for c in (r.coefficient(s) for s in supports)]
+                for r in rows
+            ]).rank()
+
+        hits = 0
+        for n, k in ((4, 2), (5, 2)):
+            order = MonomialOrder("lex", n, k)
+            supports = order.supports()
+            for _ in range(12):
+                V = random_subspace(rng, order, rng.randint(1, len(supports) - 1))
+                # share some of V's rows so the intersection is often nonzero
+                shared = [r for r in V.rows if rng.random() < 0.5]
+                extra = [random_multivector(rng, n, k) for _ in range(rng.randint(0, 3))]
+                W = span(shared + extra, order)
+                meet = V.intersect(W)
+                assert rank(V.rows, supports) == V.dim and rank(W.rows, supports) == W.dim
+                assert meet.dim == V.dim + W.dim - rank(V.rows + W.rows, supports)
+                for x in meet.rows:
+                    assert rank(V.rows + (x,), supports) == V.dim
+                    assert rank(W.rows + (x,), supports) == W.dim
+                hits += meet.dim > 0
+        assert hits
+
+    def test_intersect_contained_space_is_itself(self, mv):
+        V = span([mv(3, "e1^e2")])
+        W = span([mv(3, "e1^e2"), mv(3, "e2^e3")])
+        assert V.intersect(W) is V
 
     def test_order_mismatch(self, mv):
         V = span([mv(3, "e1^e2")], MonomialOrder("lex", 3, 2))
