@@ -14,7 +14,7 @@ class ParseError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration walked past its configured node budget."""
+    """An enumeration would pass its node budget, or dense work a size cap."""
 
 
 class IterationLimitError(RuntimeError):

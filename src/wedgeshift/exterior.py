@@ -18,6 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from . import linalg
 from .errors import GroundMismatchError, HomogeneityError, ParseError
 
 Rational = Union[int, Fraction]
@@ -314,42 +315,10 @@ class LinearMap:
         )
 
     def det(self) -> Fraction:
-        mat = [list(row) for row in self.entries]
-        n = self.n
-        sign = 1
-        out = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                mat[col], mat[piv] = mat[piv], mat[col]
-                sign = -sign
-            p = mat[col][col]
-            out *= p
-            for r in range(col + 1, n):
-                f = mat[r][col] / p
-                if f:
-                    for c in range(col, n):
-                        mat[r][c] -= f * mat[col][c]
-        return sign * out
+        return linalg.det(self.entries)
 
     def inverse(self) -> "LinearMap":
-        n = self.n
-        aug = [list(row) + [Fraction(1) if r == c else Fraction(0) for c in range(n)]
-               for r, row in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            p = aug[col][col]
-            aug[col] = [v / p for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return LinearMap([row[n:] for row in aug])
+        return LinearMap(linalg.inverse(self.entries))
 
     @property
     def is_upper_triangular(self) -> bool:

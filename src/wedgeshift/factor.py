@@ -17,15 +17,31 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .errors import FalsificationError, HomogeneityError
+from .errors import BudgetExceededError, FalsificationError, HomogeneityError
 from .exterior import LinearMap, Multivector, apply_linear, wedge
 from .families import DEFAULT_BUDGET, enumerate_families, is_star
 from .ekr import hm_bound, self_annihilating
-from .subspace import MonomialOrder, Subspace, _nullspace, _support_index, span
+from .linalg import column_kernel
+from .subspace import _SIZE_CAP, MonomialOrder, Subspace, span
 
 
-def _grade_one_space(n: int, vectors) -> Subspace:
-    return Subspace(MonomialOrder("lex", n, 1), list(vectors))
+def _annihilator(n: int, vectors) -> Subspace:
+    """Grade-one elements a with a wedge v = 0 for every given v: the kernel of
+    the columns e_i -> (e_i wedge v for each v), keyed by (position of v, support).
+    No vectors, or grade n, leave every column empty and the whole space."""
+    columns = []
+    for i in range(1, n + 1):
+        e = Multivector.basis(n, i)
+        col: dict = {}
+        for pos, v in enumerate(vectors):
+            for sup, c in wedge(e, v).terms.items():
+                col[(pos, sup)] = c
+        columns.append(col)
+    kernel = [
+        Multivector(n, {(i + 1,): c for i, c in enumerate(vec) if c})
+        for vec in column_kernel(columns)
+    ]
+    return Subspace(MonomialOrder("lex", n, 1), kernel)
 
 
 def linear_factors(v: Multivector) -> Subspace:
@@ -38,20 +54,7 @@ def linear_factors(v: Multivector) -> Subspace:
         raise ValueError("zero multivector: every grade-one element is a factor")
     if not v.is_homogeneous:
         raise HomogeneityError("linear factors need a homogeneous multivector")
-    n, k = v.n, v.grade
-    if k == n:
-        return _grade_one_space(n, [Multivector.basis(n, i) for i in range(1, n + 1)])
-    images = [wedge(Multivector.basis(n, i), v) for i in range(1, n + 1)]
-    index = _support_index("lex", n, k + 1)
-    matrix = [[Fraction(0)] * n for _ in range(len(index))]
-    for col, img in enumerate(images):
-        for sup, c in img.terms.items():
-            matrix[index[sup]][col] = c
-    kernel = _nullspace(matrix, n)
-    vectors = [
-        Multivector(n, {(i + 1,): c for i, c in enumerate(vec) if c}) for vec in kernel
-    ]
-    return _grade_one_space(n, vectors)
+    return _annihilator(v.n, [v])
 
 
 def extract_cofactor(v: Multivector, a: Multivector) -> Multivector:
@@ -94,23 +97,7 @@ def common_annihilator(V: Subspace) -> Subspace:
 
     Equals the space of common linear factors of V; the zero subspace is
     annihilated by everything."""
-    n, k = V.n, V.k
-    if V.dim == 0 or k == n:
-        return _grade_one_space(n, [Multivector.basis(n, i) for i in range(1, n + 1)])
-    index = _support_index("lex", n, k + 1)
-    rows: list[list[Fraction]] = []
-    for r in V.rows:
-        block = [[Fraction(0)] * n for _ in range(len(index))]
-        for col in range(1, n + 1):
-            img = wedge(Multivector.basis(n, col), r)
-            for sup, c in img.terms.items():
-                block[index[sup]][col - 1] = c
-        rows.extend(block)
-    kernel = _nullspace(rows, n)
-    vectors = [
-        Multivector(n, {(i + 1,): c for i, c in enumerate(vec) if c}) for vec in kernel
-    ]
-    return _grade_one_space(n, vectors)
+    return _annihilator(V.n, V.rows)
 
 
 @dataclass
@@ -155,6 +142,8 @@ def complement_pair_space(k: int) -> Subspace:
     re-verifies all four guarantees before returning."""
     if k < 3 or k % 2 == 0:
         raise ValueError(f"construction needs odd k >= 3, got {k}")
+    if comb(2 * k - 1, k - 1) * comb(2 * k, k) > _SIZE_CAP:
+        raise BudgetExceededError(f"complement-pair space at k={k} exceeds the dense size cap")
     n = 2 * k
     ground = set(range(1, n + 1))
     rows = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
@@ -176,6 +177,8 @@ def enumerate_families(
         raise ValueError(f"unknown enumeration mode {mode!r}")
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if comb(n, k) + 1 > budget:  # the all-skip path alone visits C(n, k) + 1 nodes
+        raise BudgetExceededError(f"enumeration exceeds budget of {budget} nodes")
     base = list(itertools.combinations(range(1, n + 1), k))
     if mode == "shifted_intersecting":
         base.sort(key=lambda s: (sum(s), s))

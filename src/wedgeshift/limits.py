@@ -22,7 +22,7 @@ from .errors import BudgetExceededError, FalsificationError, IterationLimitError
 from .exterior import LinearMap, Multivector, Rational, apply_linear
 from .families import ShiftPair, combinatorial_shift, is_shifted
 from .poly import Poly
-from .subspace import _PLUECKER_CAP, PlueckerVector, Subspace, span
+from .subspace import _SIZE_CAP, PlueckerVector, Subspace, span
 
 PairLike = Union[ShiftPair, tuple[int, int]]
 
@@ -132,7 +132,7 @@ def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
     base = [V._vectorize(r) for r in V.rows]
     moved = [V._vectorize(shift_map(r, p)) for r in V.rows]
     ncoords = comb(len(supports), m)
-    if ncoords > _PLUECKER_CAP:
+    if ncoords > _SIZE_CAP:
         raise BudgetExceededError(f"Pluecker oracle would need {ncoords} coordinates")
     poly_rows = [
         [Poly([base[r][c], moved[r][c]]) for c in range(len(supports))] for r in range(m)

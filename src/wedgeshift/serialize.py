@@ -15,7 +15,6 @@ from typing import Union
 from .errors import ParseError
 from .exterior import Multivector, format_multivector, parse_multivector
 from .families import SetFamily
-from .limits import TraceStep
 from .subspace import MonomialOrder, ORDER_KINDS, Subspace
 
 
@@ -90,10 +89,6 @@ def subspace_from_record(obj: dict) -> Subspace:
         return Subspace(order, rows)
     except ValueError as exc:
         raise ParseError(f"basis rows violate the subspace contract: {exc}") from exc
-
-
-def trace_records(steps: list[TraceStep]) -> list[dict]:
-    return [st.record() for st in steps]
 
 
 def load_json(path: Union[str, Path]) -> dict:

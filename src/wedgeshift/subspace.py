@@ -22,10 +22,13 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import BudgetExceededError, GroundMismatchError, HomogeneityError
 from .exterior import Multivector, Support
 from .families import SetFamily
+from .linalg import column_kernel, det, rref
 
 ORDER_KINDS = ("lex", "weight2")
 
-_PLUECKER_CAP = 1_000_000
+# One cap on dense work: Pluecker coordinates of a subspace and of a shear
+# limit, and the cells of a dense coordinate matrix built in one go.
+_SIZE_CAP = 1_000_000
 
 
 @lru_cache(maxsize=None)
@@ -60,74 +63,6 @@ class MonomialOrder:
 
     def index(self, support: Sequence[int]) -> int:
         return _support_index(self.kind, self.n, self.k)[tuple(support)]
-
-    def key(self, support: Sequence[int]):
-        if self.kind == "lex":
-            return tuple(support)
-        return sum(1 << i for i in support)
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        p = mat[r][c]
-        mat[r] = [v / p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : A x = 0} for the matrix with the given rows, in free-column order."""
-    reduced, pivots = _rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return basis
-
-
-def _det(mat: list[list[Fraction]]) -> Fraction:
-    m = len(mat)
-    work = [list(r) for r in mat]
-    sign = 1
-    out = Fraction(1)
-    for col in range(m):
-        piv = next((r for r in range(col, m) if work[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            sign = -sign
-        p = work[col][col]
-        out *= p
-        for r in range(col + 1, m):
-            f = work[r][col] / p
-            if f:
-                for c in range(col, m):
-                    work[r][c] -= f * work[col][c]
-    return sign * out
 
 
 @dataclass(frozen=True)
@@ -183,7 +118,7 @@ class Subspace:
         for r, v in enumerate(vecs):
             for sup, c in v.terms.items():
                 coords[r][index[sup]] = c
-        reduced, pivots = _rref(coords)
+        reduced, pivots, _ = rref(coords)
         self.order = order
         self.rows = tuple(
             Multivector(order.n, {supports[c]: val for c, val in enumerate(row) if val})
@@ -256,12 +191,10 @@ class Subspace:
         a dim-column matrix over only the supports those residues touch.  When
         every image lies in W this is the rows themselves."""
         residues = [W._residue(x) for x in images]
-        touched = set().union(*residues)
-        if not touched:
+        if not any(residues):
             return list(self.rows)
-        matrix = [[res.get(sup, 0) for res in residues] for sup in touched]
         members = []
-        for vec in _nullspace(matrix, self.dim):
+        for vec in column_kernel(residues):
             acc = Multivector.zero(self.n)
             for coeff, row in zip(vec, self.rows):
                 if coeff:
@@ -272,8 +205,6 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace(self.order, self.rows + other.rows)
-
-    __add__ = sum
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection: the members of V that reduce to zero modulo W."""
@@ -314,14 +245,14 @@ class Subspace:
             raise ValueError("zero subspace has no Pluecker vector")
         supports = self.order.supports()
         ncoords = comb(len(supports), m)
-        if ncoords > _PLUECKER_CAP:
+        if ncoords > _SIZE_CAP:
             raise BudgetExceededError(
-                f"Pluecker vector would have {ncoords} coordinates (cap {_PLUECKER_CAP})"
+                f"Pluecker vector would have {ncoords} coordinates (cap {_SIZE_CAP})"
             )
         matrix = [self._vectorize(r) for r in self.rows]
         items: list[tuple[tuple[Support, ...], Fraction]] = []
         for positions in itertools.combinations(range(len(supports)), m):
-            d = _det([[matrix[r][c] for c in positions] for r in range(m)])
+            d = det([[matrix[r][c] for c in positions] for r in range(m)])
             if d:
                 items.append((tuple(supports[c] for c in positions), d))
         lead = items[0][1]

@@ -106,6 +106,11 @@ class TestSmallVerbs:
         report = json.loads(out)
         assert code == 0 and report["dim"] == 10 and report["annihilator_dim"] == 0
 
+    def test_example_cross_size_cap(self, capsys):
+        code, out, err = run(capsys, "example-cross", "--k", "1001", "--check")
+        assert code == 3 and out == "" and "size cap" in err
+        assert len(err.splitlines()) == 1 and len(err) < 100
+
     def test_bad_pair(self, capsys, tmp_path):
         p = tmp_path / "fam.json"
         p.write_text(json.dumps({"n": 3, "k": 2, "sets": [[2, 3]]}))
@@ -124,6 +129,15 @@ class TestEnumerate:
                            "--mode", "all-intersecting", "--budget", "10",
                            "--count-only")
         assert code == 3 and "budget" in err
+
+    def test_budget_before_allocation(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--n", "30", "--k", "15",
+                             "--mode", "all-intersecting", "--budget", "10",
+                             "--count-only")
+        assert code == 3 and "budget" in err and out == ""
+        code, out, err = run(capsys, "enumerate", "--n", "30", "--k", "15",
+                             "--mode", "all-intersecting", "--count-only")
+        assert code == 3 and "budget" in err and out == ""
 
     def test_streams_families(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "2", "--k", "1",

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from wedgeshift import (
+    BudgetExceededError,
     HomogeneityError,
     MonomialOrder,
     Multivector,
@@ -164,6 +166,18 @@ class TestComplementPairSpace:
         for bad in (1, 2, 4):
             with pytest.raises(ValueError):
                 complement_pair_space(bad)
+
+    @pytest.mark.parametrize("k", [7, 1001])
+    def test_size_cap_before_allocation(self, k):
+        # C(13, 6) * C(14, 7) = 5.9 M dense cells at k = 7 already pass the cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="size cap"):
+                complement_pair_space(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestAnnihilatorProbe:

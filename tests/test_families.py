@@ -1,5 +1,6 @@
 """Set-family combinatorics and enumeration."""
 
+import tracemalloc
 from math import comb
 
 import pytest
@@ -123,6 +124,25 @@ class TestEnumerate:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             list(enumerate_families(4, 2, "everything"))
+
+    @pytest.mark.parametrize("n,k,budget", [(30, 15, 10), (12, 6, comb(12, 6))])
+    def test_budget_checked_before_allocation(self, n, k, budget):
+        # C(n, k) + 1 nodes lie on the all-skip path alone; the disjointness
+        # table would need C(n, k)^2 bits (C(30, 15)^2 does not fit in memory)
+        tracemalloc.start()
+        try:
+            walk = enumerate_families(n, k, "all_intersecting", budget=budget)
+            with pytest.raises(BudgetExceededError, match="budget"):
+                next(walk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_budget_guard_is_exact(self):
+        # the all-skip path of C(4, 2) = 6 sets visits 7 nodes, the first yield
+        first = next(enumerate_families(4, 2, "all_intersecting", budget=7))
+        assert first.sets == ()
 
     def test_deterministic_order(self):
         a = [f.sets for f in enumerate_families(5, 2, "shifted_intersecting")]

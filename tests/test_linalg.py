@@ -1,0 +1,121 @@
+"""The elimination kernel against sympy's exact linear algebra."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from wedgeshift.linalg import column_kernel, det, inverse, nullspace, rref
+
+sympy = pytest.importorskip("sympy")
+
+# (rows, columns, rank); rank None means full random entries
+SHAPES = {
+    "square": (4, 4, None),
+    "wide": (3, 6, None),
+    "tall": (6, 3, None),
+    "rank_deficient": (5, 5, 2),
+    "wide_deficient": (3, 7, 1),
+    "zero_rows": (5, 4, None),
+    "zero": (3, 3, 0),
+    "one_by_one": (1, 1, None),
+}
+SEEDS = range(12)
+
+
+def entry(rng):
+    # a quarter of the entries vanish, so pivots are often not on the diagonal
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() > 0.25 else Fraction(0)
+
+
+def random_matrix(rng, shape):
+    m, n, rank = SHAPES[shape]
+    if rank is None:
+        rows = [[entry(rng) for _ in range(n)] for _ in range(m)]
+    else:
+        left = [[entry(rng) for _ in range(rank)] for _ in range(m)]
+        right = [[entry(rng) for _ in range(n)] for _ in range(rank)]
+        rows = [[sum((a[t] * right[t][c] for t in range(rank)), Fraction(0)) for c in range(n)]
+                for a in left]
+    if shape == "zero_rows":
+        rows[1] = [Fraction(0)] * n
+        rows[3] = [Fraction(0)] * n
+    return rows
+
+
+def to_sympy(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(x.numerator, x.denominator)
+                                           for row in rows for x in row])
+
+
+def from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def rank_of(vectors, ncols):
+    return to_sympy(vectors, ncols).rank() if vectors else 0
+
+
+def same_span(ours, theirs, ncols):
+    theirs = [[from_sympy(x) for x in v] for v in theirs]
+    r = rank_of(ours, ncols)
+    return r == len(ours) == len(theirs) == rank_of(theirs, ncols) == rank_of(ours + theirs, ncols)
+
+
+CASES = [(shape, seed) for shape in SHAPES for seed in SEEDS]
+
+
+@pytest.mark.parametrize("shape,seed", CASES)
+def test_rref_matches_sympy(shape, seed):
+    rows = random_matrix(random.Random(seed), shape)
+    ncols = SHAPES[shape][1]
+    reduced, pivots, _ = rref(rows)
+    expected, expected_pivots = to_sympy(rows, ncols).rref()
+    assert pivots == list(expected_pivots)
+    assert reduced == [[from_sympy(expected[r, c]) for c in range(ncols)]
+                       for r in range(len(pivots))]
+
+
+@pytest.mark.parametrize("shape,seed", CASES)
+def test_kernels_match_sympy(shape, seed):
+    rows = random_matrix(random.Random(seed), shape)
+    ncols = SHAPES[shape][1]
+    expected = [list(v) for v in to_sympy(rows, ncols).nullspace()]
+    assert same_span(nullspace(rows, ncols), expected, ncols)
+    # the same matrix as sparse columns over hashable, non-integer keys
+    columns = [{("row", r): rows[r][c] for r in range(len(rows)) if rows[r][c]}
+               for c in range(ncols)]
+    assert same_span(column_kernel(columns), expected, ncols)
+
+
+@pytest.mark.parametrize("shape,seed", [(s, seed) for s, seed in CASES
+                                        if SHAPES[s][0] == SHAPES[s][1]])
+def test_det_and_inverse_match_sympy(shape, seed):
+    rows = random_matrix(random.Random(seed), shape)
+    n = len(rows)
+    M = to_sympy(rows, n)
+    assert det(rows) == from_sympy(M.det())
+    if M.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(rows)
+    else:
+        expected = M.inv()
+        assert inverse(rows) == [[from_sympy(expected[r, c]) for c in range(n)]
+                                 for r in range(n)]
+
+
+def test_empty_matrices():
+    assert rref([]) == ([], [], Fraction(1))
+    assert det([]) == 1
+    assert inverse([]) == []
+    assert nullspace([], 0) == column_kernel([]) == []
+    # no rows, or columns touching nothing: the whole space
+    identity = [[Fraction(int(r == c)) for c in range(3)] for r in range(3)]
+    assert nullspace([], 3) == identity
+    assert column_kernel([{}, {}, {}]) == identity
+    assert same_span(identity, sympy.zeros(0, 3).nullspace(), 3)
+
+
+def test_factor_is_determinant_with_row_swaps():
+    rows = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]
+    assert rref(rows)[2] == det(rows) == -6
