@@ -16,11 +16,9 @@ from .errors import (
 )
 from .exterior import (
     LinearMap,
-    Monomial,
     Multivector,
     apply_linear,
     format_multivector,
-    linear_combine,
     merge_sign,
     parse_multivector,
     wedge,
@@ -37,10 +35,9 @@ from .families import (
     star_family,
 )
 from .poly import Poly
-from .subspace import MonomialOrder, PlueckerVector, Subspace, intersect, span, subspace_sum
+from .subspace import MonomialOrder, PlueckerVector, Subspace, span
 from .limits import (
     TraceStep,
-    apply_shear,
     decreasing_pairs,
     initial_subspace,
     limit_shift,
@@ -77,11 +74,9 @@ __all__ = [
     "IterationLimitError",
     "ParseError",
     "LinearMap",
-    "Monomial",
     "Multivector",
     "apply_linear",
     "format_multivector",
-    "linear_combine",
     "merge_sign",
     "parse_multivector",
     "wedge",
@@ -98,11 +93,8 @@ __all__ = [
     "MonomialOrder",
     "PlueckerVector",
     "Subspace",
-    "intersect",
     "span",
-    "subspace_sum",
     "TraceStep",
-    "apply_shear",
     "decreasing_pairs",
     "initial_subspace",
     "limit_shift",

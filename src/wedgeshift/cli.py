@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import (
@@ -23,7 +24,7 @@ from .exterior import format_multivector
 from .factor import common_annihilator, complement_pair_space, factor_report
 from .families import DEFAULT_BUDGET, ENUMERATION_MODES, SetFamily, ShiftPair, combinatorial_shift
 from .ekr import ekr_pipeline, hilton_milner_verify, shifted_ekr_verify
-from .limits import initial_subspace, limit_shift, pluecker_limit, decreasing_pairs
+from .limits import ROUTES, initial_subspace, limit_shift, pluecker_limit, decreasing_pairs
 from .sampling import random_subspace
 from .serialize import family_record, parse_input, save_json, subspace_record
 from .subspace import MonomialOrder, Subspace
@@ -71,7 +72,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pipeline", help="bound a self-annihilating subspace via the fixed-point drive")
     p.add_argument("input")
-    p.add_argument("--route", choices=["iterate", "init-shift"], default="init-shift")
+    p.add_argument("--route", choices=ROUTES, default="init-then-shift")
     p.add_argument("--trace", metavar="PATH")
 
     p = sub.add_parser("shift", help="apply one combinatorial shift to a family")
@@ -134,8 +135,7 @@ def _run_verify_family(args) -> int:
 
 def _run_pipeline(args) -> int:
     V = _need_subspace(parse_input(args.input), "pipeline")
-    route = "init-then-shift" if args.route == "init-shift" else args.route
-    report = ekr_pipeline(V, route=route, identifier=args.input)
+    report = ekr_pipeline(V, route=args.route, identifier=args.input)
     print(f"dim {report.size} <= bound {report.bound}: "
           f"{'satisfied' if report.satisfied else 'VIOLATED'}")
     if args.trace:
@@ -226,8 +226,13 @@ def _run_oracle_pluecker(args) -> int:
     if args.random is not None:
         if args.n is None or args.k is None:
             raise _UsageError("--random needs --n and --k")
-        rng = random.Random(args.seed)
+        if args.random < 0:
+            raise _UsageError(f"--random must be at least 0, got {args.random}")
         order = MonomialOrder("lex", args.n, args.k)
+        top = comb(args.n, args.k)
+        if not 1 <= args.m <= top:
+            raise _UsageError(f"--m must be in 1..{top} for n={args.n}, k={args.k}")
+        rng = random.Random(args.seed)
         pairs = decreasing_pairs(args.n)
         for trial in range(args.random):
             V = random_subspace(rng, order, 1 + trial % args.m)

@@ -13,7 +13,6 @@ as ``c*e{i}^e{j}...`` with unit coefficients omitted, e.g.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -40,23 +39,6 @@ def _check_support(n: int, support: Sequence[int]) -> Support:
     if sup and (sup[0] < 1 or sup[-1] > n):
         raise ValueError(f"support {sup} out of range for ground dimension {n}")
     return sup
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A wedge of distinct basis vectors; support (1, 3) stands for e1^e3."""
-
-    n: int
-    support: Support
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("ground dimension must be positive")
-        object.__setattr__(self, "support", _check_support(self.n, self.support))
-
-    @property
-    def grade(self) -> int:
-        return len(self.support)
 
 
 def merge_sign(left: Sequence[int], right: Sequence[int]) -> int:
@@ -236,20 +218,6 @@ def wedge(x: Multivector, y: Multivector) -> Multivector:
     return out
 
 
-def linear_combine(pairs: Iterable[tuple[Rational, Multivector]]) -> Multivector:
-    """Exact linear combination of multivectors sharing a ground dimension."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("empty combination has no ground dimension")
-    n = pairs[0][1].n
-    acc = Multivector.zero(n)
-    for c, x in pairs:
-        if x.n != n:
-            raise GroundMismatchError(f"ground dimensions differ: {n} vs {x.n}")
-        acc = acc + x.scale(c)
-    return acc
-
-
 class LinearMap:
     """Exact square matrix acting on grade one; column j holds the image of e_j.
 
@@ -319,21 +287,6 @@ class LinearMap:
 
     def inverse(self) -> "LinearMap":
         return LinearMap(linalg.inverse(self.entries))
-
-    @property
-    def is_upper_triangular(self) -> bool:
-        return all(self.entries[r][c] == 0 for r in range(self.n) for c in range(r))
-
-    @property
-    def is_diagonal_invertible(self) -> bool:
-        return (
-            all(self.entries[r][r] != 0 for r in range(self.n))
-            and all(self.entries[r][c] == 0 for r in range(self.n) for c in range(self.n) if r != c)
-        )
-
-    @property
-    def is_unipotent_upper(self) -> bool:
-        return self.is_upper_triangular and all(self.entries[r][r] == 1 for r in range(self.n))
 
     @property
     def is_invertible(self) -> bool:

@@ -4,9 +4,10 @@ The limit of the shear family that replaces basis index i by j is computed in
 closed form (image of the index-replacement map plus the part of the space
 whose image falls back inside it); the limit of the doubly exponential
 diagonal family is the span of the pivot monomials.  A round-robin drive
-composes the shear limits (or, after an initial-monomial degeneration,
-combinatorial shifts of the support family) until the result is fixed by
-every decreasing pair.  An independent oracle recomputes shear limits through
+composes the shear limits, directly or after an initial-monomial
+degeneration, until the result is fixed by every decreasing pair; on a
+monomial subspace each shear limit is the combinatorial shift of the support
+family.  An independent oracle recomputes shear limits through
 Plücker coordinates with polynomial entries.
 """
 
@@ -19,10 +20,10 @@ from math import comb
 from typing import Optional, Union
 
 from .errors import BudgetExceededError, FalsificationError, IterationLimitError
-from .exterior import LinearMap, Multivector, Rational, apply_linear
-from .families import ShiftPair, combinatorial_shift, is_shifted
+from .exterior import Multivector
+from .families import ShiftPair, is_shifted
 from .poly import Poly
-from .subspace import _SIZE_CAP, PlueckerVector, Subspace, span
+from .subspace import _SIZE_CAP, PlueckerVector, Subspace
 
 PairLike = Union[ShiftPair, tuple[int, int]]
 
@@ -81,13 +82,6 @@ def initial_subspace(V: Subspace) -> Subspace:
     subspace of the same dimension."""
     rows = [Multivector.monomial(V.n, piv) for piv in V.pivots()]
     return Subspace(V.order, rows)
-
-
-def apply_shear(V: Subspace, pair: PairLike, t: Rational) -> Subspace:
-    """Exact image of V under the shear with a concrete rational parameter."""
-    p = _as_pair(pair, V.n)
-    g = LinearMap.shear(V.n, p.i, p.j, t)
-    return V.apply_map(lambda x: apply_linear(g, x))
 
 
 def _det_poly(matrix: list[list[Poly]]) -> Poly:
@@ -196,71 +190,47 @@ def triangular_fixed_point(
 ) -> tuple[Subspace, list[TraceStep]]:
     """Drive V to a subspace fixed by every decreasing shear limit.
 
-    Route ``iterate`` round-robins limit_shift over all pairs i > j until a
-    full round applies no change; the round cap (default 10*n^2) turns a
-    runaway drive into IterationLimitError instead of a loop.  Route
-    ``init-then-shift`` first degenerates to the initial monomial subspace and
-    then shifts the support family until it is shifted, which always
-    terminates.  Either way the result has a monomial basis whose support
-    family is shifted, and the trace lists every applied step."""
+    Both routes round-robin limit_shift over all pairs i > j until a full
+    round applies no change.  Route ``init-then-shift`` first degenerates to
+    the initial monomial subspace, where each shear limit is the
+    combinatorial shift of the support family, so its steps are recorded as
+    ``comb_shift``.  On either route the round cap (default 10*n^2) turns a
+    runaway drive into IterationLimitError instead of a loop.  The result
+    has a monomial basis whose support family is shifted, and the trace
+    lists every applied step."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
     n = V.n
     pairs = decreasing_pairs(n)
     steps: list[TraceStep] = []
-
-    if route == "iterate":
-        cap = 10 * n * n if max_rounds is None else max_rounds
-        current = V
-        converged = False
-        for _ in range(cap):
-            changed = False
-            for p in pairs:
-                moved = limit_shift(current, p)
-                if moved != current:
-                    current = moved
-                    changed = True
-                    mono, shif = _status(current)
-                    steps.append(
-                        TraceStep(len(steps), "limit_shift", (p.i, p.j), current.dim, mono, shif, current)
-                    )
-            if not changed:
-                converged = True
-                break
-        if not converged:
-            raise IterationLimitError(
-                f"no fixed point after {cap} round-robin rounds ({len(steps)} applied steps)"
-            )
+    current = V
+    if route == "init-then-shift":
+        current = initial_subspace(V)
         mono, shif = _status(current)
+        if current != V:
+            steps.append(TraceStep(0, "init", None, current.dim, mono, shif, current))
         if not mono:
-            raise FalsificationError("fixed point of all decreasing shears lacks a monomial basis")
-        if not shif:
-            raise FalsificationError("fixed point of all decreasing shears is not shifted")
-        return current, steps
-
-    current = initial_subspace(V)
-    if current != V:
-        mono, shif = _status(current)
-        steps.append(TraceStep(0, "init", None, current.dim, mono, shif, current))
-    fam = current.monomial_basis()
-    if fam is None:
-        raise FalsificationError("initial-monomial degeneration is not monomial")
-    while True:
+            raise FalsificationError("initial-monomial degeneration is not monomial")
+    kind = "limit_shift" if route == "iterate" else "comb_shift"
+    cap = 10 * n * n if max_rounds is None else max_rounds
+    for _ in range(cap):
         changed = False
         for p in pairs:
-            moved = combinatorial_shift(fam, p)
-            if moved != fam:
-                fam = moved
+            moved = limit_shift(current, p)
+            if moved != current:
+                current = moved
                 changed = True
-                state = span(
-                    [Multivector.monomial(V.n, s) for s in fam.sets], V.order
-                ) if fam.size else Subspace(V.order)
-                steps.append(
-                    TraceStep(len(steps), "comb_shift", (p.i, p.j), state.dim, True, is_shifted(fam), state)
-                )
+                mono, shif = _status(current)
+                steps.append(TraceStep(len(steps), kind, (p.i, p.j), current.dim, mono, shif, current))
         if not changed:
             break
-    final = span([Multivector.monomial(V.n, s) for s in fam.sets], V.order) if fam.size else Subspace(V.order)
-    if final.dim != V.dim:
-        raise FalsificationError(f"fixed-point drive changed dimension: {V.dim} -> {final.dim}")
-    return final, steps
+    else:
+        raise IterationLimitError(
+            f"no fixed point after {cap} round-robin rounds ({len(steps)} applied steps)"
+        )
+    mono, shif = _status(current)
+    if not mono:
+        raise FalsificationError("fixed point of all decreasing shears lacks a monomial basis")
+    if not shif:
+        raise FalsificationError("fixed point of all decreasing shears is not shifted")
+    return current, steps

@@ -34,7 +34,8 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int], Fractio
             factor = -factor
         p = mat[r][c]
         factor *= p
-        mat[r] = [v / p for v in mat[r]]
+        if p != 1:
+            mat[r] = [v / p for v in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]

@@ -27,10 +27,6 @@ class Poly:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
-    @classmethod
-    def const(cls, c: Rational) -> "Poly":
-        return cls([c])
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""

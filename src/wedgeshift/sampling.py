@@ -62,10 +62,6 @@ def random_upper_triangular(rng: random.Random, n: int) -> LinearMap:
     return LinearMap(rows)
 
 
-def random_diagonal_invertible(rng: random.Random, n: int) -> LinearMap:
-    return LinearMap.diagonal([random_rational(rng, nonzero=True) for _ in range(n)])
-
-
 def random_invertible(rng: random.Random, n: int, attempts: int = 100) -> LinearMap:
     for _ in range(attempts):
         g = LinearMap([[random_rational(rng) for _ in range(n)] for _ in range(n)])

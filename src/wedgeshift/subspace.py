@@ -285,11 +285,3 @@ def span(vectors: Iterable[Multivector], order: Optional[MonomialOrder] = None) 
             raise HomogeneityError("spanning vectors must be homogeneous")
         order = MonomialOrder("lex", probe.n, probe.grade)
     return Subspace(order, vecs)
-
-
-def subspace_sum(V: Subspace, W: Subspace) -> Subspace:
-    return V.sum(W)
-
-
-def intersect(V: Subspace, W: Subspace) -> Subspace:
-    return V.intersect(W)

@@ -57,9 +57,18 @@ class TestPipeline:
         assert all(st["dim"] == 3 for st in steps)
 
     def test_both_routes(self, capsys, subspace_file):
-        for route in ("iterate", "init-shift"):
+        for route in ("iterate", "init-then-shift"):
             code, out, _ = run(capsys, "pipeline", subspace_file, "--route", route)
             assert code == 0
+
+    def test_route_choices_are_the_library_routes(self):
+        from wedgeshift.cli import build_parser
+        from wedgeshift.limits import ROUTES
+
+        verbs = next(a for a in build_parser()._actions if a.dest == "verb")
+        route = next(a for a in verbs.choices["pipeline"]._actions if a.dest == "route")
+        assert tuple(route.choices) == ROUTES
+        assert route.default in ROUTES
 
     def test_non_annihilating_input(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
@@ -168,6 +177,16 @@ class TestOracle:
     def test_random_needs_shape(self, capsys):
         code, _, err = run(capsys, "oracle-pluecker", "--random", "5")
         assert code == 1 and "usage error" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--random", "-2", "--m", "2"),
+        ("--random", "5", "--m", "0"),
+        ("--random", "5", "--m", "7"),
+    ])
+    def test_random_bad_counts_are_usage_errors(self, capsys, flags):
+        code, out, err = run(capsys, "oracle-pluecker", "--n", "4", "--k", "2", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error") and err.count("\n") == 1
 
 
 class TestExitCodes:

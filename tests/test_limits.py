@@ -15,7 +15,6 @@ from wedgeshift import (
     ShiftPair,
     Subspace,
     apply_linear,
-    apply_shear,
     combinatorial_shift,
     decreasing_pairs,
     initial_subspace,
@@ -325,20 +324,25 @@ class TestWeightDiagonalOrder:
         assert abs(big.coefficient((1, 4))) < abs(small.coefficient((1, 4)))
 
 
+def shear_image(V, i, j, t):
+    g = LinearMap.shear(V.n, i, j, t)
+    return V.apply_map(lambda x: apply_linear(g, x))
+
+
 class TestApplyShear:
     def test_finite_parameter(self, mv):
         V = span([mv(3, "e2^e3")])
-        assert apply_shear(V, ShiftPair(2, 1), 5) == span([mv(3, "e2^e3 + 5*e1^e3")])
+        assert shear_image(V, 2, 1, 5) == span([mv(3, "e2^e3 + 5*e1^e3")])
 
     def test_zero_parameter(self, rng):
         order = MonomialOrder("lex", 4, 2)
         V = random_subspace(rng, order, 2)
-        assert apply_shear(V, ShiftPair(2, 1), 0) == V
+        assert shear_image(V, 2, 1, 0) == V
 
     def test_fixed_case(self, mv):
         V = span([mv(3, "e1^e2")])
         for t in (1, 2, 7):
-            assert apply_shear(V, ShiftPair(2, 1), t) == V
+            assert shear_image(V, 2, 1, t) == V
 
 
 class TestPlueckerLimit:
@@ -412,8 +416,9 @@ class TestTriangularFixedPoint:
 
     def test_round_cap(self):
         V = monomial_span(4, 2, [(2, 3), (2, 4)])
-        with pytest.raises(IterationLimitError):
-            triangular_fixed_point(V, route="iterate", max_rounds=0)
+        for route in ("iterate", "init-then-shift"):
+            with pytest.raises(IterationLimitError):
+                triangular_fixed_point(V, route=route, max_rounds=0)
 
     def test_bad_route(self):
         V = monomial_span(4, 2, [(1, 2)])
@@ -427,3 +432,53 @@ class TestTriangularFixedPoint:
             rec = st.record()
             assert set(rec) == {"step", "kind", "pair", "dim", "monomial", "shifted"}
             assert rec["kind"] in {"limit_shift", "comb_shift", "init"}
+
+
+def reference_init_then_shift(V):
+    """The init route as its own loop: the initial monomial subspace, then
+    combinatorial shifts of its support family, with a monomial span per
+    applied step, until a full round of decreasing pairs changes nothing."""
+
+    def monomials(fam):
+        return Subspace(V.order, [Multivector.monomial(V.n, s) for s in fam.sets])
+
+    records = []
+    current = initial_subspace(V)
+    fam = current.monomial_basis()
+    if current != V:
+        records.append({"step": 0, "kind": "init", "pair": None, "dim": current.dim,
+                        "monomial": True, "shifted": is_shifted(fam)})
+    changed = True
+    while changed:
+        changed = False
+        for p in decreasing_pairs(V.n):
+            moved = combinatorial_shift(fam, p)
+            if moved != fam:
+                fam, changed = moved, True
+                records.append({"step": len(records), "kind": "comb_shift", "pair": [p.i, p.j],
+                                "dim": monomials(fam).dim, "monomial": True,
+                                "shifted": is_shifted(fam)})
+    return monomials(fam), records
+
+
+class TestInitThenShiftDifferential:
+    @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 3)])
+    def test_against_combinatorial_shift_loop(self, rng, n, k):
+        # general-position images degenerate to shifted families at once;
+        # non-shifted monomial spans take comb_shift steps in the loop
+        order = MonomialOrder("lex", n, k)
+        kinds = Counter()
+        for _ in range(4):
+            F = random_intersecting_family(rng, n, k)
+            g = random_invertible(rng, n)
+            image = span([apply_linear(g, Multivector.monomial(n, s)) for s in F.sets], order)
+            F = random_intersecting_family(rng, n, k)
+            while is_shifted(F):
+                F = random_intersecting_family(rng, n, k)
+            for V in (image, monomial_span(n, k, F.sets)):
+                W, trace = triangular_fixed_point(V, route="init-then-shift")
+                ref, records = reference_init_then_shift(V)
+                assert W == ref
+                assert [st.record() for st in trace] == records
+                kinds.update(st.kind for st in trace)
+        assert kinds["comb_shift"] and kinds["init"]
