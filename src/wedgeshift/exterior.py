@@ -3,7 +3,9 @@
 Monomials are wedges of distinct 1-based basis vectors stored with sorted
 support; multivectors are sparse rational combinations of monomials over a
 fixed ground dimension; square rational matrices act on grade one and extend
-multiplicatively to every graded component.  No floating point anywhere.
+multiplicatively to every graded component.  No floating point anywhere.  The
+wedge product visits only the disjoint partner supports of each term and adds
+up integer numerators over one common denominator.
 
 The canonical text form orders terms by lexicographic support and writes each
 as ``c*e{i}^e{j}...`` with unit coefficients omitted, e.g.
@@ -14,6 +16,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import comb, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -190,30 +195,57 @@ class Multivector:
         return f"Multivector({self.n}, {format_multivector(self)!r})"
 
 
+@lru_cache(maxsize=1024)
+def _partners(n: int, sx: Support, g: int) -> tuple[tuple[Support, Support, int], ...]:
+    """Every g-subset of 1..n disjoint from sx, with its union support and merge sign."""
+    rest = [i for i in range(1, n + 1) if i not in sx]
+    return tuple(
+        (sy, tuple(sorted(sx + sy)), merge_sign(sx, sy)) for sy in combinations(rest, g)
+    )
+
+
 def wedge(x: Multivector, y: Multivector) -> Multivector:
     """Exterior product, extended bilinearly from the merge-parity monomial rule.
 
     Monomials with intersecting supports multiply to zero; otherwise the
     product is the monomial on the union with the sign of the permutation
     that sorts the concatenated index sequence.
+
+    Both factors are scaled to integers over a common denominator once, so the
+    products add up as integers and each output term is one Fraction.  For
+    each support of x and each grade of y, the shorter candidate list is
+    walked: y's terms of that grade, or the table of every disjoint support of
+    that grade.  A table is built only when it is shorter than y's terms of
+    that grade, so no table outgrows a multivector the caller already holds.
     """
     if x.n != y.n:
         raise GroundMismatchError(f"ground dimensions differ: {x.n} vs {y.n}")
-    acc: dict[Support, Fraction] = {}
-    for sx, cx in x._terms.items():
-        setx = set(sx)
-        for sy, cy in y._terms.items():
-            if setx.intersection(sy):
-                continue
-            sup = tuple(sorted(sx + sy))
-            c = acc.get(sup, Fraction(0)) + merge_sign(sx, sy) * cx * cy
-            if c == 0:
-                acc.pop(sup, None)
+    n = x.n
+    a = lcm(*(c.denominator for c in x._terms.values()))
+    b = lcm(*(c.denominator for c in y._terms.values()))
+    by_grade: dict[int, dict[Support, int]] = {}
+    for sy, c in y._terms.items():
+        by_grade.setdefault(len(sy), {})[sy] = c.numerator * (b // c.denominator)
+    acc: dict[Support, int] = {}
+    for sx, c in x._terms.items():
+        cx = c.numerator * (a // c.denominator)
+        free = n - len(sx)
+        for g, ys in by_grade.items():
+            if comb(free, g) < len(ys):
+                for sy, sup, sign in _partners(n, sx, g):
+                    cy = ys.get(sy)
+                    if cy is not None:
+                        acc[sup] = acc.get(sup, 0) + sign * cx * cy
             else:
-                acc[sup] = c
+                setx = set(sx)
+                for sy, cy in ys.items():
+                    if setx.isdisjoint(sy):
+                        sup = tuple(sorted(sx + sy))
+                        acc[sup] = acc.get(sup, 0) + merge_sign(sx, sy) * cx * cy
+    d = a * b
     out = Multivector.__new__(Multivector)
-    out.n = x.n
-    out._terms = acc
+    out.n = n
+    out._terms = {sup: Fraction(v, d) for sup, v in acc.items() if v}
     out._key = None
     return out
 
@@ -367,6 +399,13 @@ def _signed_chunks(text: str) -> list[tuple[int, str]]:
     return chunks
 
 
+def _parse_coefficient(text: str, term: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in term {term!r}") from None
+
+
 def parse_multivector(text: str, n: int) -> Multivector:
     """Parse the canonical text form (unsorted index runs are normalized by parity)."""
     s = text.strip()
@@ -383,9 +422,9 @@ def parse_multivector(text: str, n: int) -> Multivector:
             head, _, mono = body.partition("*")
             if not _COEFF_RE.match(head):
                 raise ParseError(f"bad coefficient in term {body!r}")
-            coeff *= Fraction(head)
+            coeff *= _parse_coefficient(head, body)
         elif _COEFF_RE.match(body):
-            pairs.append(((), coeff * Fraction(body)))
+            pairs.append(((), coeff * _parse_coefficient(body, body)))
             continue
         if not _MONOMIAL_RE.match(mono):
             raise ParseError(f"bad monomial in term {body!r}")

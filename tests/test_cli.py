@@ -120,6 +120,11 @@ class TestSmallVerbs:
         assert code == 3 and out == "" and "size cap" in err
         assert len(err.splitlines()) == 1 and len(err) < 100
 
+    def test_factor_zero_denominator(self, capsys):
+        code, out, err = run(capsys, "factor", "1/0*e1", "--n", "2")
+        assert code == 1 and out == "" and "zero denominator" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_bad_pair(self, capsys, tmp_path):
         p = tmp_path / "fam.json"
         p.write_text(json.dumps({"n": 3, "k": 2, "sets": [[2, 3]]}))
@@ -213,6 +218,7 @@ class TestRecordValidation:
         ("pipeline", {"n": 6, "k": True, "basis": ["e1^e2^e3"]}),
         ("pipeline", {"n": 4, "k": 2, "basis": "e1^e2"}),
         ("pipeline", {"n": 4, "k": 2, "order": ["lex"], "basis": ["e1^e2"]}),
+        ("pipeline", {"n": 4, "k": 2, "basis": ["1/0*e1^e2"]}),
         ("verify-family", {"n": 4, "k": "2", "sets": [[1, 2]]}),
         ("verify-family", {"n": 4, "k": 2, "sets": "12"}),
         ("verify-family", {"n": 4, "k": 2, "sets": [[True, 2], [1, 3]]}),
