@@ -218,10 +218,10 @@ class TestRecordValidation:
         ("pipeline", {"n": 6, "k": True, "basis": ["e1^e2^e3"]}),
         ("pipeline", {"n": 4, "k": 2, "basis": "e1^e2"}),
         ("pipeline", {"n": 4, "k": 2, "order": ["lex"], "basis": ["e1^e2"]}),
-        ("pipeline", {"n": 4, "k": 2, "basis": ["1/0*e1^e2"]}),
         ("verify-family", {"n": 4, "k": "2", "sets": [[1, 2]]}),
         ("verify-family", {"n": 4, "k": 2, "sets": "12"}),
         ("verify-family", {"n": 4, "k": 2, "sets": [[True, 2], [1, 3]]}),
+        ("pipeline", {"n": 4, "k": 2, "basis": ["1/0*e1^e2"]}),
     ])
     def test_mistyped_field_is_one(self, capsys, tmp_path, verb, record):
         p = tmp_path / "bad.json"
