@@ -122,14 +122,14 @@ def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
     m = V.dim
     if m == 0:
         raise ValueError("zero subspace has no Pluecker vector")
-    supports = V.order.supports()
-    base = [V._vectorize(r) for r in V.rows]
-    moved = [V._vectorize(shift_map(r, p)) for r in V.rows]
-    ncoords = comb(len(supports), m)
+    ncoords = comb(comb(V.n, V.k), m)
     if ncoords > _SIZE_CAP:
         raise BudgetExceededError(f"Pluecker oracle would need {ncoords} coordinates")
+    supports = V.order.supports()
+    moved = [shift_map(r, p) for r in V.rows]
     poly_rows = [
-        [Poly([base[r][c], moved[r][c]]) for c in range(len(supports))] for r in range(m)
+        [Poly([r.coefficient(s), x.coefficient(s)]) for s in supports]
+        for r, x in zip(V.rows, moved)
     ]
     minors: list[tuple[tuple, Poly]] = []
     top = -1

@@ -7,7 +7,9 @@ available: ``lex`` compares supports as sorted index sequences, and
 ``weight2`` orders supports by increasing binary weight (the sum of 2^i over
 the support), which is what a diagonal action with doubly exponential
 parameter weights separates.  The two differ: {1,4} precedes {2,3} in lex
-but has the larger binary weight (18 against 12).
+but has the larger binary weight (18 against 12).  Rows stay sparse, keyed by
+support: only the Plücker embedding lists all C(n, k) coordinates, and only
+after its size cap has passed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, GroundMismatchError, HomogeneityError
 from .exterior import Multivector, Support
@@ -27,21 +29,8 @@ from .linalg import column_kernel, det, rref
 ORDER_KINDS = ("lex", "weight2")
 
 # One cap on dense work: Pluecker coordinates of a subspace and of a shear
-# limit, and the cells of a dense coordinate matrix built in one go.
+# limit, and rows times coordinates of the complement-pair space.
 _SIZE_CAP = 1_000_000
-
-
-@lru_cache(maxsize=None)
-def _ordered_supports(kind: str, n: int, k: int) -> tuple[Support, ...]:
-    subs = itertools.combinations(range(1, n + 1), k)
-    if kind == "lex":
-        return tuple(subs)
-    return tuple(sorted(subs, key=lambda s: sum(1 << i for i in s)))
-
-
-@lru_cache(maxsize=None)
-def _support_index(kind: str, n: int, k: int) -> dict[Support, int]:
-    return {s: i for i, s in enumerate(_ordered_supports(kind, n, k))}
 
 
 @dataclass(frozen=True)
@@ -58,11 +47,14 @@ class MonomialOrder:
         if not (1 <= self.n) or not (0 <= self.k <= self.n):
             raise ValueError(f"bad order parameters n={self.n}, k={self.k}")
 
-    def supports(self) -> tuple[Support, ...]:
-        return _ordered_supports(self.kind, self.n, self.k)
+    def key(self, support: Sequence[int]) -> Union[Support, int]:
+        """Sort key of a support: the support itself (lex) or its binary weight."""
+        return tuple(support) if self.kind == "lex" else sum(1 << i for i in support)
 
-    def index(self, support: Sequence[int]) -> int:
-        return _support_index(self.kind, self.n, self.k)[tuple(support)]
+    @lru_cache(maxsize=None)
+    def supports(self) -> tuple[Support, ...]:
+        """Every grade-k support in this order: a table of C(n, k) entries."""
+        return tuple(sorted(itertools.combinations(range(1, self.n + 1), self.k), key=self.key))
 
 
 @dataclass(frozen=True)
@@ -110,21 +102,10 @@ class Subspace:
                 raise HomogeneityError(
                     f"spanning vector of grade {v.grade}, order expects {order.k}"
                 )
-        supports = order.supports()
-        index = _support_index(order.kind, order.n, order.k)
-        coords = [
-            [Fraction(0)] * len(supports) for _ in range(len(vecs))
-        ]
-        for r, v in enumerate(vecs):
-            for sup, c in v.terms.items():
-                coords[r][index[sup]] = c
-        reduced, pivots, _ = rref(coords)
+        reduced, pivots, _ = rref([v.terms for v in vecs], order.key)
         self.order = order
-        self.rows = tuple(
-            Multivector(order.n, {supports[c]: val for c, val in enumerate(row) if val})
-            for row in reduced
-        )
-        self._pivots = tuple(supports[c] for c in pivots)
+        self.rows = tuple(Multivector(order.n, row) for row in reduced)
+        self._pivots = tuple(pivots)
 
     @property
     def n(self) -> int:
@@ -145,13 +126,6 @@ class Subspace:
     def pivots(self) -> tuple[Support, ...]:
         """Pivot supports of the canonical rows, in coordinate order."""
         return self._pivots
-
-    def _vectorize(self, x: Multivector) -> list[Fraction]:
-        index = _support_index(self.order.kind, self.n, self.k)
-        vec = [Fraction(0)] * len(index)
-        for sup, c in x.terms.items():
-            vec[index[sup]] = c
-        return vec
 
     def _check_member_input(self, x: Multivector) -> None:
         if x.n != self.n:
@@ -243,13 +217,13 @@ class Subspace:
         m = self.dim
         if m == 0:
             raise ValueError("zero subspace has no Pluecker vector")
-        supports = self.order.supports()
-        ncoords = comb(len(supports), m)
+        ncoords = comb(comb(self.n, self.k), m)
         if ncoords > _SIZE_CAP:
             raise BudgetExceededError(
                 f"Pluecker vector would have {ncoords} coordinates (cap {_SIZE_CAP})"
             )
-        matrix = [self._vectorize(r) for r in self.rows]
+        supports = self.order.supports()
+        matrix = [[r.coefficient(s) for s in supports] for r in self.rows]
         items: list[tuple[tuple[Support, ...], Fraction]] = []
         for positions in itertools.combinations(range(len(supports)), m):
             d = det([[matrix[r][c] for c in positions] for r in range(m)])

@@ -193,6 +193,14 @@ class TestOracle:
         assert code == 1 and out == ""
         assert err.startswith("usage error") and err.count("\n") == 1
 
+    def test_file_mode_size_cap_at_30_15(self, capsys, tmp_path):
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"n": 30, "k": 15, "basis": [
+            "^".join(f"e{i}" for i in range(1, 16)), "^".join(f"e{i}" for i in range(16, 31))]}))
+        code, out, err = run(capsys, "oracle-pluecker", str(p), "--pair", "16,2")
+        assert code == 3 and out == ""
+        assert err.startswith("budget") and err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):

@@ -1,12 +1,14 @@
 """Shear limits, initial degenerations, fixed-point drives, and their oracles."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from wedgeshift import (
+    BudgetExceededError,
     IterationLimitError,
     LinearMap,
     MonomialOrder,
@@ -366,6 +368,18 @@ class TestPlueckerLimit:
             V = random_subspace(rng, order, rng.randint(1, 3))
             for p in all_pairs(4):
                 assert pluecker_limit(V, p) == limit_shift(V, p).pluecker()
+
+    def test_cap_before_any_table(self):
+        # C(C(20,10), 2) coordinates; the dense rows alone would be 2 x 184,756
+        V = monomial_span(20, 10, [tuple(range(1, 11)), tuple(range(11, 21))])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                pluecker_limit(V, ShiftPair(11, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_oracle_equivalence_exhaustive_tiny(self):
         import itertools

@@ -1,5 +1,7 @@
 """Canonical subspaces, their calculus, and the Plücker embedding."""
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,9 @@ from wedgeshift import (
     MonomialOrder,
     Multivector,
     SetFamily,
+    Subspace,
     apply_linear,
+    limit_shift,
     span,
 )
 from wedgeshift.sampling import (
@@ -61,13 +65,91 @@ class TestSpan:
         order = MonomialOrder("lex", 5, 2)
         for _ in range(10):
             V = random_subspace(rng, order, 3)
-            idx = [order.index(p) for p in V.pivots()]
+            idx = [order.key(p) for p in V.pivots()]
             assert idx == sorted(idx)
             for row, piv in zip(V.rows, V.pivots()):
                 assert row.coefficient(piv) == 1
                 for other in V.rows:
                     if other is not row:
                         assert other.coefficient(piv) == 0
+
+
+def _canonical_cases(st):
+    """Hypothesis strategy: an order at n <= 6, spanning vectors of its grade,
+    and a permutation, nonzero scales and combination coefficients for them."""
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 6))
+        k = draw(st.integers(0, n))
+        order = MonomialOrder(draw(st.sampled_from(["lex", "weight2"])), n, k)
+        supports = list(itertools.combinations(range(1, n + 1), k))
+        vecs = [Multivector(n, dict(zip(supports, cs))) for cs in draw(st.lists(
+            st.lists(coeff, min_size=len(supports), max_size=len(supports)), max_size=4))]
+        perm = draw(st.permutations(range(len(vecs))))
+        scales = draw(st.lists(coeff.filter(bool), min_size=len(vecs), max_size=len(vecs)))
+        combos = draw(st.lists(st.lists(coeff, min_size=len(vecs), max_size=len(vecs)),
+                               max_size=3))
+        return order, vecs, perm, scales, combos
+
+    return cases()
+
+
+class TestCanonicalForm:
+    def test_rows_and_pivots_depend_only_on_the_span(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        def check(case):
+            order, vecs, perm, scales, combos = case
+            V = Subspace(order, vecs)
+            keys = [order.key(p) for p in V.pivots()]
+            assert keys == sorted(set(keys))
+            for row, piv in zip(V.rows, V.pivots()):
+                assert min(row.terms, key=order.key) == piv and row.coefficient(piv) == 1
+                assert all(other.coefficient(piv) == 0 for other in V.rows if other is not row)
+            combined = [sum((v.scale(c) for v, c in zip(vecs, cs)), Multivector.zero(order.n))
+                        for cs in combos]
+            for spanning in ([vecs[i] for i in perm],
+                             [v.scale(c) for v, c in zip(vecs, scales)],
+                             vecs + combined):
+                W = Subspace(order, spanning)
+                assert W.rows == V.rows and W.pivots() == V.pivots()
+
+        hypothesis.settings(max_examples=80, deadline=None, database=None)(
+            hypothesis.given(_canonical_cases(hypothesis.strategies))(check)
+        )()
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoCoordinateTable:
+    """At (n, k) = (30, 15) one dense row would have C(30,15) = 155 M entries."""
+
+    @pytest.mark.parametrize("kind", ["lex", "weight2"])
+    def test_span_contains_and_limit_at_30_15(self, kind):
+        n, low, high = 30, tuple(range(1, 16)), tuple(range(16, 31))
+        mixed = Multivector(n, {low: 1, high: Fraction(-2, 3), (1,) + high[1:]: 5})
+        order = MonomialOrder(kind, n, 15)
+
+        def work():
+            for vecs in ([Multivector.monomial(n, low), Multivector.monomial(n, high),
+                          Multivector.monomial(n, tuple(range(2, 17)))],
+                         [mixed, Multivector.monomial(n, high), mixed.scale(3)]):
+                V = Subspace(order, vecs)
+                assert V.contains(vecs[0])
+                assert not V.contains(Multivector.monomial(n, low[1:] + (30,)))
+                W = limit_shift(V, (30, 1))
+                assert W.dim == V.dim and W != V
+
+        assert _peak_bytes(work) < 1 << 20
 
 
 class TestContains:
@@ -215,8 +297,8 @@ class TestMonomialOrder:
     def test_orders_disagree_on_14_vs_23(self):
         lex = MonomialOrder("lex", 4, 2)
         w2 = MonomialOrder("weight2", 4, 2)
-        assert lex.index((1, 4)) < lex.index((2, 3))
-        assert w2.index((1, 4)) > w2.index((2, 3))
+        assert lex.key((1, 4)) < lex.key((2, 3))
+        assert w2.key((1, 4)) > w2.key((2, 3))
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -265,3 +347,13 @@ class TestPluecker:
         V = random_subspace(rng, order, 5)  # C(70,5) > 12e6
         with pytest.raises(BudgetExceededError):
             V.pluecker()
+
+    def test_cap_before_any_table(self):
+        # C(C(20,10), 2) coordinates; the support table alone would be 184,756 tuples
+        V = span([Multivector.monomial(20, range(1, 11)), Multivector.monomial(20, range(11, 21))])
+
+        def attempt():
+            with pytest.raises(BudgetExceededError):
+                V.pluecker()
+
+        assert _peak_bytes(attempt) < 1 << 20
