@@ -95,9 +95,9 @@ def _shifted_cert(n: int, k: int, sets: tuple[tuple[int, ...], ...]) -> dict:
         node.update(bound=1, case="point", satisfied=size <= 1)
         return node
     if 2 * k == n:
-        complement_hit = any(
-            tuple(sorted(set(range(1, n + 1)) - set(s))) in set(sets) for s in sets
-        )
+        ground = set(range(1, n + 1))
+        members = set(sets)
+        complement_hit = any(tuple(sorted(ground.difference(s))) in members for s in sets)
         if complement_hit:
             raise FalsificationError("complementary pair inside an intersecting family")
         node.update(bound=comb(n - 1, k - 1), case="complement-pairs", satisfied=size <= comb(n - 1, k - 1))
@@ -207,7 +207,11 @@ def hilton_milner_verify(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Verify
     witnesses: list[list[list[int]]] = []
     for fam in enumerate_families(n, k, "shifted_intersecting", budget=budget):
         enumerated += 1
-        if fam.size == 0 or is_star(fam) is not None:
+        # A nonempty shifted family is a star iff every set holds 1, which in
+        # lex order is iff the last set starts with 1: were v common to all
+        # sets and 1 missing from some A, shifting v to 1 would put
+        # A - v + 1, a set without v, in the family.
+        if fam.size == 0 or fam.sets[-1][0] == 1:
             continue
         checked += 1
         if fam.size > bound:

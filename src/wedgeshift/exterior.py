@@ -268,34 +268,9 @@ class LinearMap:
         self.entries = rows
 
     @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls([[1 if r == c else 0 for c in range(n)] for r in range(n)])
-
-    @classmethod
     def diagonal(cls, values: Sequence[Rational]) -> "LinearMap":
         n = len(values)
         return cls([[values[r] if r == c else 0 for c in range(n)] for r in range(n)])
-
-    @classmethod
-    def shear(cls, n: int, i: int, j: int, t: Rational) -> "LinearMap":
-        """Identity plus t in row j, column i: sends e_i to e_i + t*e_j."""
-        if i == j or not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"shear needs distinct indices in [1, {n}], got ({i}, {j})")
-        rows = [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)]
-        rows[j - 1][i - 1] = _exact(t)
-        return cls(rows)
-
-    @classmethod
-    def weight_diagonal(cls, n: int, t: Rational) -> "LinearMap":
-        """Diagonal entries t^(-2^1), ..., t^(-2^n).
-
-        Weights every monomial by t to the negated binary weight of its
-        support, so distinct supports get distinct powers of t.
-        """
-        t = _exact(t)
-        if t == 0:
-            raise ValueError("weight diagonal needs a nonzero parameter")
-        return cls.diagonal([Fraction(1) / t ** (2 ** i) for i in range(1, n + 1)])
 
     def entry(self, r: int, c: int) -> Fraction:
         return self.entries[r - 1][c - 1]
@@ -303,16 +278,6 @@ class LinearMap:
     def column(self, i: int) -> Multivector:
         """Image of e_i as a grade-one multivector."""
         return Multivector(self.n, {(r + 1,): self.entries[r][i - 1] for r in range(self.n)})
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other, as a matrix product."""
-        if self.n != other.n:
-            raise GroundMismatchError(f"dimensions differ: {self.n} vs {other.n}")
-        n = self.n
-        a, b = self.entries, other.entries
-        return LinearMap(
-            [[sum(a[r][m] * b[m][c] for m in range(n)) for c in range(n)] for r in range(n)]
-        )
 
     def det(self) -> Fraction:
         return linalg.det(self.entries)

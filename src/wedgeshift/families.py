@@ -9,6 +9,7 @@ only knob is the enumeration node budget.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional, Sequence
@@ -64,6 +65,15 @@ class SetFamily:
             raise ValueError("family contains duplicate sets")
         object.__setattr__(self, "sets", canon)
 
+    @classmethod
+    def _trusted(cls, n: int, k: int, sets: tuple[SetTuple, ...]) -> "SetFamily":
+        """Wrap sets already sorted, distinct, k-uniform and within [n], unchecked."""
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "n", n)
+        object.__setattr__(fam, "k", k)
+        object.__setattr__(fam, "sets", sets)
+        return fam
+
     @property
     def size(self) -> int:
         return len(self.sets)
@@ -75,7 +85,9 @@ class SetFamily:
         return iter(self.sets)
 
     def __contains__(self, s: Sequence[int]) -> bool:
-        return tuple(sorted(s)) in set(self.sets)
+        s = tuple(sorted(s))
+        at = bisect_left(self.sets, s)
+        return at < len(self.sets) and self.sets[at] == s
 
 
 def star_family(n: int, k: int, v: int) -> SetFamily:
@@ -171,19 +183,26 @@ def enumerate_families(
     k-subsets; shifted_intersecting walks down-closed intersecting families
     over the dominance order (a set may join only once all its one-step
     decrements are in); maximal_intersecting filters the first mode for
-    maximality.  Raises BudgetExceededError past ``budget`` visited nodes.
+    maximality.
+
+    Each node of the walk is one family state: it yields that family, then
+    extends it by each later addable base set in decreasing position, so the
+    first two modes visit exactly as many nodes as they yield.  Raises
+    BudgetExceededError past ``budget`` visited nodes, and up front when
+    C(n, k) + 1 > budget, before the C(n, k)^2-bit disjointness table is built.
     """
     if mode not in ENUMERATION_MODES:
         raise ValueError(f"unknown enumeration mode {mode!r}")
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if comb(n, k) + 1 > budget:  # the all-skip path alone visits C(n, k) + 1 nodes
+    if comb(n, k) + 1 > budget:  # guards the C(n, k)^2-bit disjointness table
         raise BudgetExceededError(f"enumeration exceeds budget of {budget} nodes")
     base = list(itertools.combinations(range(1, n + 1), k))
     if mode == "shifted_intersecting":
         base.sort(key=lambda s: (sum(s), s))
     index = {s: t for t, s in enumerate(base)}
     N = len(base)
+    full = (1 << N) - 1
     disjoint = [0] * N
     for t, s in enumerate(base):
         for u, other in enumerate(base):
@@ -197,27 +216,39 @@ def enumerate_families(
 
     maximal_only = mode == "maximal_intersecting"
     nodes = 0
-
-    def walk(t: int, mask: int, chosen: list[SetTuple]) -> Iterator[SetFamily]:
-        nonlocal nodes
+    families = 0
+    chosen: list[SetTuple] = []
+    # One frame per family on the current path: [candidates still to try,
+    # mask of chosen positions, union of their disjointness rows].  A later
+    # position u is addable iff it is disjoint from no chosen set (u is not
+    # in the union, as disjointness is symmetric) and, in shifted mode, all
+    # its covers are chosen; covers sit at earlier positions, so they are
+    # checked when u comes up, against the mask that stays fixed in its frame.
+    stack = [[full, 0, 0]]
+    while True:
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(f"enumeration exceeded budget of {budget} nodes")
-        if t == N:
-            fam = SetFamily(n, k, tuple(chosen))
-            if maximal_only:
-                for u in range(N):
-                    if not (mask >> u) & 1 and not (disjoint[u] & mask):
-                        return
-            yield fam
-            return
-        yield from walk(t + 1, mask, chosen)
-        if disjoint[t] & mask:
-            return
-        if covers[t] & ~mask:
-            return
-        chosen.append(base[t])
-        yield from walk(t + 1, mask | (1 << t), chosen)
-        chosen.pop()
-
-    yield from walk(0, 0, [])
+            raise BudgetExceededError(
+                f"enumeration exceeded budget of {budget} nodes after {families} families"
+            )
+        _, mask, blocked = stack[-1]
+        if not maximal_only or full & ~(mask | blocked) == 0:
+            families += 1
+            yield SetFamily._trusted(n, k, tuple(sorted(chosen)))
+        while True:
+            frame = stack[-1]
+            cands, mask, blocked = frame
+            if not cands:
+                stack.pop()
+                if not stack:
+                    return
+                chosen.pop()
+                continue
+            u = cands.bit_length() - 1
+            frame[0] = cands ^ (1 << u)
+            if covers[u] & ~mask:
+                continue
+            chosen.append(base[u])
+            blocked |= disjoint[u]
+            stack.append([full & ~((2 << u) - 1) & ~blocked, mask | (1 << u), blocked])
+            break

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from wedgeshift import (
+    FalsificationError,
     MonomialOrder,
     Multivector,
     SetFamily,
@@ -20,6 +21,7 @@ from wedgeshift import (
     span,
     star_family,
 )
+from wedgeshift.ekr import _shifted_cert
 from wedgeshift.sampling import (
     random_intersecting_family,
     random_invertible,
@@ -124,6 +126,15 @@ class TestShiftedVerify:
             shifted_ekr_verify(SetFamily(4, 2, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))))
         with pytest.raises(ValueError, match="n/2"):
             shifted_ekr_verify(star_family(4, 3, 1))
+
+    def test_complement_pairs_base_case(self):
+        # unreachable through shifted_ekr_verify, which rejects non-intersecting
+        # input first; the base case still refuses a complementary pair itself
+        with pytest.raises(FalsificationError, match="complementary pair"):
+            _shifted_cert(6, 3, ((1, 2, 3), (1, 2, 4), (4, 5, 6)))
+        cert = _shifted_cert(6, 3, ((1, 2, 3), (1, 2, 4), (1, 3, 4)))
+        assert cert == {"n": 6, "k": 3, "size": 3, "bound": 10,
+                        "case": "complement-pairs", "satisfied": True}
 
     def test_every_small_shifted_family(self):
         from wedgeshift import enumerate_families

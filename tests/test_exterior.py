@@ -21,6 +21,7 @@ from wedgeshift import (
     parse_multivector,
     wedge,
 )
+from linear_maps import compose, identity, shear, weight_diagonal
 from wedgeshift.sampling import (
     random_invertible,
     random_multivector,
@@ -220,13 +221,13 @@ class TestWedgeProperties:
 
 class TestApplyLinear:
     def test_identity(self, rng):
-        g = LinearMap.identity(4)
+        g = identity(4)
         for _ in range(5):
             x = random_multivector(rng, 4, rng.randint(1, 3))
             assert apply_linear(g, x) == x
 
     def test_shear_on_monomial(self, mv):
-        g = LinearMap.shear(3, 2, 1, 1)
+        g = shear(3, 2, 1, 1)
         assert apply_linear(g, mv(3, "e2^e3")) == mv(3, "e1^e3 + e2^e3")
 
     def test_diagonal_scaling(self, mv):
@@ -247,11 +248,11 @@ class TestApplyLinear:
             g = random_invertible(rng, n)
             h = random_invertible(rng, n)
             x = random_multivector(rng, n, rng.randint(1, n))
-            assert apply_linear(g.compose(h), x) == apply_linear(g, apply_linear(h, x))
+            assert apply_linear(compose(g, h), x) == apply_linear(g, apply_linear(h, x))
 
     def test_mismatched_n(self, mv):
         with pytest.raises(GroundMismatchError):
-            apply_linear(LinearMap.identity(3), mv(4, "e1"))
+            apply_linear(identity(3), mv(4, "e1"))
 
 
 class TestMultivector:
@@ -283,7 +284,7 @@ class TestMultivector:
 
 class TestLinearMapPredicates:
     def test_shear_is_unipotent(self):
-        g = LinearMap.shear(4, 3, 1, 5)
+        g = shear(4, 3, 1, 5)
         assert g.is_invertible
 
     def test_diagonal(self):
@@ -294,14 +295,14 @@ class TestLinearMapPredicates:
         for _ in range(10):
             n = rng.randint(2, 4)
             g = random_invertible(rng, n)
-            assert g.compose(g.inverse()) == LinearMap.identity(n)
+            assert compose(g, g.inverse()) == identity(n)
 
     def test_singular_inverse(self):
         with pytest.raises(ValueError):
             LinearMap([[1, 1], [1, 1]]).inverse()
 
     def test_weight_diagonal_entries(self):
-        g = LinearMap.weight_diagonal(3, 2)
+        g = weight_diagonal(3, 2)
         assert g.entry(1, 1) == Fraction(1, 4)
         assert g.entry(2, 2) == Fraction(1, 16)
         assert g.entry(3, 3) == Fraction(1, 256)
@@ -345,7 +346,7 @@ class TestFloatsRejected:
         with pytest.raises(TypeError, match="float"):
             LinearMap([[1, 0], [0.5, 1]])
         with pytest.raises(TypeError, match="float"):
-            LinearMap.shear(2, 1, 2, 0.5)
+            shear(2, 1, 2, 0.5)
 
     def test_poly(self):
         from wedgeshift import Poly

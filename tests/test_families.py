@@ -1,5 +1,6 @@
 """Set-family combinatorics and enumeration."""
 
+import itertools
 import tracemalloc
 from math import comb
 
@@ -15,6 +16,7 @@ from wedgeshift import (
     is_star,
     star_family,
 )
+from wedgeshift.families import ENUMERATION_MODES
 
 
 def fam(n, k, *sets):
@@ -37,6 +39,12 @@ class TestSetFamily:
     def test_range_enforced(self):
         with pytest.raises(ValueError):
             fam(4, 2, (1, 5))
+
+    def test_contains(self):
+        F = fam(5, 2, (1, 2), (1, 4), (2, 5))
+        assert (1, 4) in F and [4, 1] in F and (5, 2) in F
+        assert (1, 3) not in F and (3, 5) not in F and (4, 5) not in F
+        assert (1, 2) not in fam(5, 2)
 
     def test_shift_pair_validation(self):
         with pytest.raises(ValueError):
@@ -127,8 +135,8 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n,k,budget", [(30, 15, 10), (12, 6, comb(12, 6))])
     def test_budget_checked_before_allocation(self, n, k, budget):
-        # C(n, k) + 1 nodes lie on the all-skip path alone; the disjointness
-        # table would need C(n, k)^2 bits (C(30, 15)^2 does not fit in memory)
+        # a budget below C(n, k) + 1 is refused before the disjointness
+        # table, which would need C(n, k)^2 bits (C(30, 15)^2 does not fit in memory)
         tracemalloc.start()
         try:
             walk = enumerate_families(n, k, "all_intersecting", budget=budget)
@@ -140,7 +148,7 @@ class TestEnumerate:
         assert peak < 1 << 16
 
     def test_budget_guard_is_exact(self):
-        # the all-skip path of C(4, 2) = 6 sets visits 7 nodes, the first yield
+        # C(4, 2) + 1 = 7 passes the up-front guard; the first node yields the empty family
         first = next(enumerate_families(4, 2, "all_intersecting", budget=7))
         assert first.sets == ()
 
@@ -148,3 +156,70 @@ class TestEnumerate:
         a = [f.sets for f in enumerate_families(5, 2, "shifted_intersecting")]
         b = [f.sets for f in enumerate_families(5, 2, "shifted_intersecting")]
         assert a == b
+
+
+def _reference_walk(n, k, mode):
+    """The include/skip recursion: one node per (position, mask) on every
+    path, so nodes run to about families x C(n, k).  Kept as the oracle for
+    the order and content of enumerate_families."""
+    base = list(itertools.combinations(range(1, n + 1), k))
+    if mode == "shifted_intersecting":
+        base.sort(key=lambda s: (sum(s), s))
+    index = {s: t for t, s in enumerate(base)}
+    N = len(base)
+    disjoint = [sum(1 << u for u, o in enumerate(base) if not set(s) & set(o)) for s in base]
+    covers = [0] * N
+    if mode == "shifted_intersecting":
+        for t, s in enumerate(base):
+            for idx, a in enumerate(s):
+                if a > 1 and a - 1 not in s:
+                    covers[t] |= 1 << index[tuple(sorted(s[:idx] + (a - 1,) + s[idx + 1:]))]
+
+    def walk(t, mask, chosen):
+        if t == N:
+            if mode == "maximal_intersecting" and any(
+                not (mask >> u) & 1 and not disjoint[u] & mask for u in range(N)
+            ):
+                return
+            yield tuple(sorted(chosen))
+            return
+        yield from walk(t + 1, mask, chosen)
+        if disjoint[t] & mask or covers[t] & ~mask:
+            return
+        yield from walk(t + 1, mask | (1 << t), chosen + [base[t]])
+
+    return list(walk(0, 0, []))
+
+
+class TestWalkDifferential:
+    @pytest.mark.parametrize("n,k,mode", [
+        *((n, k, mode) for n, k in [(4, 2), (5, 2), (6, 3)] for mode in ENUMERATION_MODES),
+        (7, 3, "shifted_intersecting"),
+        (8, 4, "shifted_intersecting"),
+    ])
+    def test_same_families_same_order(self, n, k, mode):
+        got = [f.sets for f in enumerate_families(n, k, mode)]
+        assert got == _reference_walk(n, k, mode)
+
+    @pytest.mark.parametrize("n,k,mode,count", [
+        (7, 3, "shifted_intersecting", 72),
+        (4, 2, "all_intersecting", 27),
+    ])
+    def test_budget_is_exact_node_count(self, n, k, mode, count):
+        # every visited node is a yielded family in these two modes
+        assert sum(1 for _ in enumerate_families(n, k, mode, budget=count)) == count
+        walk = enumerate_families(n, k, mode, budget=count - 1)
+        with pytest.raises(BudgetExceededError,
+                           match=f"budget of {count - 1} nodes after {count - 1} families"):
+            list(walk)
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (7, 3), (8, 4)])
+    def test_last_set_star_test_matches_is_star(self, n, k):
+        # the O(1) star test hilton_milner_verify applies to shifted families
+        for F in enumerate_families(n, k, "shifted_intersecting"):
+            if F.size:
+                assert (F.sets[-1][0] == 1) == (is_star(F) is not None)
+
+    def test_yielded_families_pass_validation(self):
+        for F in enumerate_families(5, 2, "shifted_intersecting"):
+            assert SetFamily(F.n, F.k, F.sets) == F

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from linear_maps import shear, weight_diagonal
 from wedgeshift import (
     BudgetExceededError,
     IterationLimitError,
-    LinearMap,
     MonomialOrder,
     Multivector,
     SetFamily,
@@ -316,18 +316,18 @@ class TestWeightDiagonalOrder:
         assert lex_init.rows == (mv(4, "e1^e4"),)
         assert w2_init.rows == (mv(4, "e2^e3"),)
         for t in (2, 3):
-            img = apply_linear(LinearMap.weight_diagonal(4, t), v)
+            img = apply_linear(weight_diagonal(4, t), v)
             rescaled = img.scale(t ** (2 ** 2 + 2 ** 3))  # clear the {2,3} weight
             assert rescaled.coefficient((2, 3)) == 1
             assert abs(rescaled.coefficient((1, 4))) < 1
         # and the dominant coefficient shrinks as t grows: the limit is the weight2 pivot
-        small = apply_linear(LinearMap.weight_diagonal(4, 2), v).scale(2 ** 12)
-        big = apply_linear(LinearMap.weight_diagonal(4, 4), v).scale(4 ** 12)
+        small = apply_linear(weight_diagonal(4, 2), v).scale(2 ** 12)
+        big = apply_linear(weight_diagonal(4, 4), v).scale(4 ** 12)
         assert abs(big.coefficient((1, 4))) < abs(small.coefficient((1, 4)))
 
 
 def shear_image(V, i, j, t):
-    g = LinearMap.shear(V.n, i, j, t)
+    g = shear(V.n, i, j, t)
     return V.apply_map(lambda x: apply_linear(g, x))
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from linear_maps import shear
 from wedgeshift import (
     BudgetExceededError,
     GroundMismatchError,
@@ -243,7 +244,7 @@ class TestApplyMap:
         assert V.apply_map(lambda x: x) == V
 
     def test_shear_image(self, mv):
-        g = LinearMap.shear(3, 2, 1, 1)
+        g = shear(3, 2, 1, 1)
         V = span([mv(3, "e2^e3")])
         assert V.apply_map(lambda x: apply_linear(g, x)) == span([mv(3, "e1^e3 + e2^e3")])
 
