@@ -34,7 +34,6 @@ from .families import (
     is_star,
     star_family,
 )
-from .poly import Poly
 from .subspace import MonomialOrder, PlueckerVector, Subspace, span
 from .limits import (
     TraceStep,
@@ -56,7 +55,6 @@ from .ekr import (
 )
 from .factor import (
     FactorReport,
-    annihilator_probe,
     common_annihilator,
     complement_pair_space,
     extract_cofactor,
@@ -89,7 +87,6 @@ __all__ = [
     "is_shifted",
     "is_star",
     "star_family",
-    "Poly",
     "MonomialOrder",
     "PlueckerVector",
     "Subspace",
@@ -109,7 +106,6 @@ __all__ = [
     "self_annihilating",
     "shifted_ekr_verify",
     "FactorReport",
-    "annihilator_probe",
     "common_annihilator",
     "complement_pair_space",
     "extract_cofactor",

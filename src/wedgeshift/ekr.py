@@ -102,18 +102,17 @@ def _shifted_cert(n: int, k: int, sets: tuple[tuple[int, ...], ...]) -> dict:
             raise FalsificationError("complementary pair inside an intersecting family")
         node.update(bound=comb(n - 1, k - 1), case="complement-pairs", satisfied=size <= comb(n - 1, k - 1))
         return node
-    fam = SetFamily(n, k, sets)
-    star, dele, link = family_decompose(fam, n)
-    link_sets = link.sets
-    dele_sets = dele.sets
-    if not is_intersecting(SetFamily(n - 1, k - 1, link_sets)):
+    _, dele, link = family_decompose(SetFamily(n, k, sets), n)
+    link = SetFamily(n - 1, k - 1, link.sets)
+    dele = SetFamily(n - 1, k, dele.sets)
+    if not is_intersecting(link):
         raise FalsificationError("link of a shifted intersecting family failed to intersect")
-    if not is_shifted(SetFamily(n - 1, k - 1, link_sets)):
+    if not is_shifted(link):
         raise FalsificationError("link of a shifted family is not shifted")
-    if not is_shifted(SetFamily(n - 1, k, dele_sets)):
+    if not is_shifted(dele):
         raise FalsificationError("deletion of a shifted family is not shifted")
-    link_cert = _shifted_cert(n - 1, k - 1, link_sets)
-    dele_cert = _shifted_cert(n - 1, k, dele_sets)
+    link_cert = _shifted_cert(n - 1, k - 1, link.sets)
+    dele_cert = _shifted_cert(n - 1, k, dele.sets)
     bound = comb(n - 2, k - 2) + comb(n - 2, k - 1)
     node.update(
         bound=bound,

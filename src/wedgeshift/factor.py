@@ -3,24 +3,20 @@
 A grade-one element a is a linear factor of v exactly when a wedge v
 vanishes, so factor spaces are kernels of explicit multiplication matrices
 and cofactors are recovered constructively by a change of basis.  On top of
-that sit the common annihilator of a subspace, the complement-pair
-construction of a factor-free self-annihilating space of maximal dimension,
-and a desk-scale probe tabulating annihilator dimensions of large families.
+that sit the common annihilator of a subspace and the complement-pair
+construction of a factor-free self-annihilating space of maximal dimension.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 from .errors import BudgetExceededError, FalsificationError, HomogeneityError
 from .exterior import LinearMap, Multivector, apply_linear, wedge
-from .families import DEFAULT_BUDGET, enumerate_families, is_star
-from .ekr import hm_bound, self_annihilating
+from .ekr import self_annihilating
 from .linalg import column_kernel
 from .subspace import _SIZE_CAP, MonomialOrder, Subspace, span
 
@@ -163,58 +159,3 @@ def complement_pair_space(k: int) -> Subspace:
         raise FalsificationError("complement-pair span has a nonzero common annihilator")
     return V
 
-
-def annihilator_probe(
-    n: int,
-    k: int,
-    dim_floor: Optional[int] = None,
-    budget: int = DEFAULT_BUDGET,
-    rng: Optional[random.Random] = None,
-    transforms: int = 1,
-) -> list[dict]:
-    """Tabulate common-annihilator dimensions over large shifted intersecting
-    families and sampled invertible upper-triangular images of their spans.
-
-    When n = 2k with k odd the complement-pair space is appended, the known
-    factor-free example at that size.  This gathers evidence only; it decides
-    nothing."""
-    from .sampling import random_upper_triangular  # local import to keep layering flat
-
-    if not (2 <= k and 2 * k <= n):
-        raise ValueError(f"probe needs 2 <= k <= n/2, got n={n}, k={k}")
-    floor = hm_bound(n, k) if dim_floor is None else dim_floor
-    rng = rng or random.Random(0)
-    order = MonomialOrder("lex", n, k)
-    rows: list[dict] = []
-
-    def add_rows(label, V: Subspace, star: bool) -> None:
-        rows.append(
-            {
-                "family": label,
-                "size": V.dim,
-                "star": star,
-                "annihilator_dim": common_annihilator(V).dim,
-                "transformed": False,
-            }
-        )
-        for _ in range(transforms):
-            g = random_upper_triangular(rng, n)
-            image = V.apply_map(lambda x: apply_linear(g, x))
-            rows.append(
-                {
-                    "family": label,
-                    "size": image.dim,
-                    "star": star,
-                    "annihilator_dim": common_annihilator(image).dim,
-                    "transformed": True,
-                }
-            )
-
-    for fam in enumerate_families(n, k, "shifted_intersecting", budget=budget):
-        if fam.size <= floor:
-            continue
-        V = Subspace(order, [Multivector.monomial(n, s) for s in fam.sets])
-        add_rows([list(s) for s in fam.sets], V, is_star(fam) is not None)
-    if n == 2 * k and k % 2 == 1 and k >= 3:
-        add_rows(f"complement-pairs(k={k})", complement_pair_space(k), False)
-    return rows

@@ -7,23 +7,22 @@ diagonal family is the span of the pivot monomials.  A round-robin drive
 composes the shear limits, directly or after an initial-monomial
 degeneration, until the result is fixed by every decreasing pair; on a
 monomial subspace each shear limit is the combinatorial shift of the support
-family.  An independent oracle recomputes shear limits through
-Plücker coordinates with polynomial entries.
+family.  An independent oracle recomputes shear limits through Plücker
+coordinates: the leading coefficient, in the shear parameter, of the wedge of
+the sheared rows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
 from .errors import BudgetExceededError, FalsificationError, IterationLimitError
-from .exterior import Multivector
+from .exterior import Multivector, wedge
 from .families import ShiftPair, is_shifted
-from .poly import Poly
-from .subspace import _SIZE_CAP, PlueckerVector, Subspace
+from .subspace import _SIZE_CAP, PlueckerVector, Subspace, _lift, _pluecker_vector
 
 PairLike = Union[ShiftPair, tuple[int, int]]
 
@@ -84,40 +83,14 @@ def initial_subspace(V: Subspace) -> Subspace:
     return Subspace(V.order, rows)
 
 
-def _det_poly(matrix: list[list[Poly]]) -> Poly:
-    """Division-free determinant by column expansion with memoization."""
-    m = len(matrix)
-
-    memo: dict[tuple[int, tuple[int, ...]], Poly] = {}
-
-    def minor(r: int, cols: tuple[int, ...]) -> Poly:
-        if not cols:
-            return Poly([1])
-        key = (r, cols)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = Poly()
-        for idx, c in enumerate(cols):
-            a = matrix[r][c]
-            if a.is_zero:
-                continue
-            sub = minor(r + 1, cols[:idx] + cols[idx + 1:])
-            term = a * sub
-            acc = acc + (term if idx % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(m)))
-
-
 def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
     """Projective limit of the Plücker vector of the sheared subspace.
 
-    Each canonical row picks up the parameter times its replacement image, the
-    maximal minors become polynomials, and the coefficient vector of the top
-    degree present is the limit point.  Must agree with the Plücker vector of
-    limit_shift projectively."""
+    Each canonical row r picks up the parameter t times its replacement image
+    x.  The wedge of the rows r + t*x is a polynomial in t whose coefficients
+    are wedges of grade m, and the coefficient of the top power present is
+    the limit point.  Must agree with the Plücker vector of limit_shift
+    projectively."""
     p = _as_pair(pair, V.n)
     m = V.dim
     if m == 0:
@@ -125,24 +98,18 @@ def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
     ncoords = comb(comb(V.n, V.k), m)
     if ncoords > _SIZE_CAP:
         raise BudgetExceededError(f"Pluecker oracle would need {ncoords} coordinates")
-    supports = V.order.supports()
-    moved = [shift_map(r, p) for r in V.rows]
-    poly_rows = [
-        [Poly([r.coefficient(s), x.coefficient(s)]) for s in supports]
-        for r, x in zip(V.rows, moved)
-    ]
-    minors: list[tuple[tuple, Poly]] = []
-    top = -1
-    for positions in itertools.combinations(range(len(supports)), m):
-        d = _det_poly([[poly_rows[r][c] for c in positions] for r in range(m)])
-        if not d.is_zero:
-            minors.append((tuple(supports[c] for c in positions), d))
-            top = max(top, d.degree)
-    items = [
-        (key, d.coefficient(top)) for key, d in minors if d.coefficient(top) != 0
-    ]
-    lead = items[0][1]
-    return PlueckerVector(m, V.order, tuple((k, v / lead) for k, v in items))
+    rows = list(V.rows)
+    columns, lifted = _lift(V.order, rows + [shift_map(r, p) for r in rows])
+    zero = Multivector.zero(len(columns))
+    # by_degree[d] is the coefficient of t^d in the wedge of the rows so far
+    by_degree = [Multivector(len(columns), {(): 1})]
+    for r, x in zip(lifted[:m], lifted[m:]):
+        by_degree = [
+            wedge(same, r) + wedge(lower, x)
+            for same, lower in zip(by_degree + [zero], [zero] + by_degree)
+        ]
+    top = max(d for d, c in enumerate(by_degree) if not c.is_zero)
+    return _pluecker_vector(V.order, columns, by_degree[top])
 
 
 @dataclass(frozen=True)

@@ -8,23 +8,22 @@ available: ``lex`` compares supports as sorted index sequences, and
 the support), which is what a diagonal action with doubly exponential
 parameter weights separates.  The two differ: {1,4} precedes {2,3} in lex
 but has the larger binary weight (18 against 12).  Rows stay sparse, keyed by
-support: only the Plücker embedding lists all C(n, k) coordinates, and only
-after its size cap has passed.
+support, and nothing here lists all C(n, k) coordinates: the Plücker embedding
+is the wedge of the rows lifted to grade one over the supports they touch.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import reduce
 from math import comb
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, GroundMismatchError, HomogeneityError
-from .exterior import Multivector, Support
+from .exterior import Multivector, Support, wedge
 from .families import SetFamily
-from .linalg import column_kernel, det, rref
+from .linalg import column_kernel, rref
 
 ORDER_KINDS = ("lex", "weight2")
 
@@ -50,11 +49,6 @@ class MonomialOrder:
     def key(self, support: Sequence[int]) -> Union[Support, int]:
         """Sort key of a support: the support itself (lex) or its binary weight."""
         return tuple(support) if self.kind == "lex" else sum(1 << i for i in support)
-
-    @lru_cache(maxsize=None)
-    def supports(self) -> tuple[Support, ...]:
-        """Every grade-k support in this order: a table of C(n, k) entries."""
-        return tuple(sorted(itertools.combinations(range(1, self.n + 1), self.k), key=self.key))
 
 
 @dataclass(frozen=True)
@@ -211,8 +205,10 @@ class Subspace:
     def pluecker(self) -> PlueckerVector:
         """All maximal minors of the canonical row matrix, projectively normalized.
 
-        Coordinates are indexed by m-subsets of the monomial coordinates,
-        walked in lexicographic position order; desk-scale sizes only.
+        The minors are the coefficients of the wedge of the rows lifted to
+        grade one; coordinates are indexed by m-subsets of the monomial
+        coordinates, in lexicographic order of their positions in the
+        monomial order.
         """
         m = self.dim
         if m == 0:
@@ -222,15 +218,8 @@ class Subspace:
             raise BudgetExceededError(
                 f"Pluecker vector would have {ncoords} coordinates (cap {_SIZE_CAP})"
             )
-        supports = self.order.supports()
-        matrix = [[r.coefficient(s) for s in supports] for r in self.rows]
-        items: list[tuple[tuple[Support, ...], Fraction]] = []
-        for positions in itertools.combinations(range(len(supports)), m):
-            d = det([[matrix[r][c] for c in positions] for r in range(m)])
-            if d:
-                items.append((tuple(supports[c] for c in positions), d))
-        lead = items[0][1]
-        return PlueckerVector(m, self.order, tuple((k, v / lead) for k, v in items))
+        columns, lifted = _lift(self.order, self.rows)
+        return _pluecker_vector(self.order, columns, reduce(wedge, lifted))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -245,6 +234,39 @@ class Subspace:
     def __repr__(self) -> str:
         basis = ", ".join(str(r) for r in self.rows)
         return f"Subspace(n={self.n}, k={self.k}, {self.order.kind}, [{basis}])"
+
+
+def _lift(
+    order: MonomialOrder, vectors: Sequence[Multivector]
+) -> tuple[list[Support], list[Multivector]]:
+    """Grade-one copies of grade-k vectors over the supports they touch.
+
+    The touched supports, sorted by the order, become the positions 1..N, and
+    each vector becomes the grade-one vector with its coefficient of the
+    support at each position.  The coefficient of e_c1^...^e_cm (c1 < ... < cm)
+    in the wedge of m lifted vectors is their maximal minor at columns
+    c1, ..., cm; every minor at an untouched column is zero."""
+    columns = sorted({s for v in vectors for s in v.terms}, key=order.key)
+    position = {s: p for p, s in enumerate(columns, 1)}
+    lifted = [
+        Multivector(len(columns), {(position[s],): c for s, c in v.terms.items()})
+        for v in vectors
+    ]
+    return columns, lifted
+
+
+def _pluecker_vector(
+    order: MonomialOrder, columns: Sequence[Support], product: Multivector
+) -> PlueckerVector:
+    """The nonzero coordinates of a nonzero wedge of lifted vectors, back on
+    their supports, in position order and scaled so the first one is 1."""
+    items = sorted(product.terms.items())
+    lead = items[0][1]
+    return PlueckerVector(
+        len(items[0][0]),
+        order,
+        tuple((tuple(columns[p - 1] for p in key), v / lead) for key, v in items),
+    )
 
 
 def span(vectors: Iterable[Multivector], order: Optional[MonomialOrder] = None) -> Subspace:

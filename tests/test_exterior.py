@@ -348,12 +348,6 @@ class TestFloatsRejected:
         with pytest.raises(TypeError, match="float"):
             shear(2, 1, 2, 0.5)
 
-    def test_poly(self):
-        from wedgeshift import Poly
-
-        with pytest.raises(TypeError, match="float"):
-            Poly([1, 0.25])
-
     def test_exact_values_still_accepted(self):
         assert Multivector(2, {(1,): Fraction(1, 10)}).coefficient((1,)) == Fraction(1, 10)
         assert LinearMap([[1, 0], [Fraction(1, 2), 1]]).entry(2, 1) == Fraction(1, 2)

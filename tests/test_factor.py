@@ -1,7 +1,6 @@
-"""Linear factors, cofactor extraction, annihilators, and the probe."""
+"""Linear factors, cofactor extraction and annihilators."""
 
 import itertools
-import random
 import tracemalloc
 
 import pytest
@@ -11,7 +10,6 @@ from wedgeshift import (
     HomogeneityError,
     MonomialOrder,
     Multivector,
-    annihilator_probe,
     apply_linear,
     common_annihilator,
     complement_pair_space,
@@ -24,7 +22,7 @@ from wedgeshift import (
     star_family,
     wedge,
 )
-from wedgeshift.sampling import random_invertible, random_multivector
+from wedgeshift.sampling import random_invertible, random_multivector, random_upper_triangular
 
 
 def monomial_span(n, k, sets):
@@ -134,6 +132,17 @@ class TestCommonAnnihilator:
         V = monomial_span(4, 2, [(1, 2), (3, 4)])
         assert common_annihilator(V).is_zero
 
+    def test_star_and_triangle_6_2(self, rng):
+        star = monomial_span(6, 2, star_family(6, 2, 1).sets)
+        triangle = monomial_span(6, 2, [(1, 2), (1, 3), (2, 3)])
+        for V, dim in ((star, 1), (triangle, 0)):
+            assert common_annihilator(V).dim == dim
+            # an invertible upper-triangular image keeps the dimension
+            for _ in range(3):
+                g = random_upper_triangular(rng, 6)
+                image = V.apply_map(lambda x: apply_linear(g, x))
+                assert common_annihilator(image).dim == dim
+
     def test_zero_subspace_fully_annihilated(self):
         V = span([], MonomialOrder("lex", 4, 2))
         assert common_annihilator(V).dim == 4
@@ -179,30 +188,3 @@ class TestComplementPairSpace:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-
-class TestAnnihilatorProbe:
-    def test_star_and_triangle_6_2(self):
-        rows = annihilator_probe(6, 2, dim_floor=2, rng=random.Random(3), transforms=1)
-        by_size = {}
-        for row in rows:
-            if not row["transformed"]:
-                by_size.setdefault(row["size"], []).append(row)
-        star_rows = [r for r in by_size[5] if r["star"]]
-        assert star_rows and all(r["annihilator_dim"] == 1 for r in star_rows)
-        triangle_rows = [r for r in by_size[3] if not r["star"]]
-        assert triangle_rows and all(r["annihilator_dim"] == 0 for r in triangle_rows)
-        # transformed images keep the annihilator dimension
-        for row in rows:
-            if row["transformed"]:
-                assert row["annihilator_dim"] in (0, 1)
-
-    def test_cross_row_at_6_3(self):
-        rows = annihilator_probe(6, 3, rng=random.Random(5), transforms=0)
-        cross = [r for r in rows if r["family"] == "complement-pairs(k=3)"]
-        assert len(cross) == 1
-        assert cross[0]["size"] == 10 and not cross[0]["star"]
-        assert cross[0]["annihilator_dim"] == 0
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            annihilator_probe(6, 1)

@@ -150,7 +150,7 @@ def reference_limit_shift(V, p):
     """The stacked-column formula: phi(V) plus the members sum c_i r_i for which
     sum c_i phi(r_i) + sum d_j r_j = 0, from a dense kernel of the 2*dim
     stacked columns over all C(n,k) coordinates."""
-    supports = V.order.supports()
+    supports = sorted(itertools.combinations(range(1, V.n + 1), V.k), key=V.order.key)
     images = [shift_map(r, p) for r in V.rows]
     cols = [[x.coefficient(s) for s in supports] for x in images + list(V.rows)]
     matrix = [list(row) for row in zip(*cols)]
