@@ -20,14 +20,14 @@ from .errors import (
     IterationLimitError,
     ParseError,
 )
-from .exterior import format_multivector
+from .exterior import format_multivector, parse_multivector
 from .factor import common_annihilator, complement_pair_space, factor_report
 from .families import DEFAULT_BUDGET, ENUMERATION_MODES, SetFamily, ShiftPair, combinatorial_shift
 from .ekr import ekr_pipeline, hilton_milner_verify, shifted_ekr_verify
 from .limits import ROUTES, initial_subspace, limit_shift, pluecker_limit, decreasing_pairs
 from .sampling import random_subspace
 from .serialize import family_record, parse_input, save_json, subspace_record
-from .subspace import MonomialOrder, Subspace
+from .subspace import MonomialOrder, Subspace, _check_pluecker_size
 
 
 class _UsageError(Exception):
@@ -167,10 +167,7 @@ def _run_init(args) -> int:
 
 
 def _run_factor(args) -> int:
-    value = parse_input(args.input, n=args.n)
-    if isinstance(value, (SetFamily, Subspace)):
-        raise ParseError("factor expects a multivector literal")
-    report = factor_report(value, identifier=args.input)
+    report = factor_report(parse_multivector(args.input, args.n), identifier=args.input)
     _emit(report.record())
     return 0
 
@@ -232,6 +229,8 @@ def _run_oracle_pluecker(args) -> int:
         top = comb(args.n, args.k)
         if not 1 <= args.m <= top:
             raise _UsageError(f"--m must be in 1..{top} for n={args.n}, k={args.k}")
+        for dim in range(1, min(args.m, args.random) + 1):  # each sampled dimension, up front
+            _check_pluecker_size(comb(top, dim))
         rng = random.Random(args.seed)
         pairs = decreasing_pairs(args.n)
         for trial in range(args.random):

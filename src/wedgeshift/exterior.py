@@ -71,10 +71,9 @@ class Multivector:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Support, Fraction] = {}
         for support, coeff in items:
-            if isinstance(coeff, float):
-                raise TypeError(f"coefficient {coeff!r} is a float; pass an int or a Fraction")
-            sup = _check_support(n, tuple(support))
-            c = acc.get(sup, Fraction(0)) + Fraction(coeff)
+            c = _exact(coeff)
+            sup = _check_support(n, support)
+            c += acc.get(sup, 0)
             if c == 0:
                 acc.pop(sup, None)
             else:
@@ -82,6 +81,13 @@ class Multivector:
         self.n = n
         self._terms = acc
         self._key: Optional[tuple] = None
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[Support, Fraction]) -> "Multivector":
+        """Wrap nonzero Fractions on sorted, in-range supports, unchecked."""
+        out = object.__new__(cls)
+        out.n, out._terms, out._key = n, terms, None
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "Multivector":
@@ -103,9 +109,6 @@ class Multivector:
 
     def coefficient(self, support: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(support), Fraction(0))
-
-    def supports(self) -> list[Support]:
-        return sorted(self._terms)
 
     def grades(self) -> frozenset[int]:
         return frozenset(len(s) for s in self._terms)
@@ -138,11 +141,7 @@ class Multivector:
                 acc.pop(sup, None)
             else:
                 acc[sup] = v
-        out = Multivector.__new__(Multivector)
-        out.n = self.n
-        out._terms = acc
-        out._key = None
-        return out
+        return Multivector._trusted(self.n, acc)
 
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
@@ -161,11 +160,7 @@ class Multivector:
         c = _exact(c)
         if c == 0:
             return Multivector.zero(self.n)
-        out = Multivector.__new__(Multivector)
-        out.n = self.n
-        out._terms = {s: v * c for s, v in self._terms.items()}
-        out._key = None
-        return out
+        return Multivector._trusted(self.n, {s: v * c for s, v in self._terms.items()})
 
     def __mul__(self, c: Rational) -> "Multivector":
         if not isinstance(c, (int, Fraction)):
@@ -173,9 +168,6 @@ class Multivector:
         return self.scale(c)
 
     __rmul__ = __mul__
-
-    def wedge(self, other: "Multivector") -> "Multivector":
-        return wedge(self, other)
 
     def _sort_key(self) -> tuple:
         if self._key is None:
@@ -243,11 +235,7 @@ def wedge(x: Multivector, y: Multivector) -> Multivector:
                         sup = tuple(sorted(sx + sy))
                         acc[sup] = acc.get(sup, 0) + merge_sign(sx, sy) * cx * cy
     d = a * b
-    out = Multivector.__new__(Multivector)
-    out.n = n
-    out._terms = {sup: Fraction(v, d) for sup, v in acc.items() if v}
-    out._key = None
-    return out
+    return Multivector._trusted(n, {sup: Fraction(v, d) for sup, v in acc.items() if v})
 
 
 class LinearMap:

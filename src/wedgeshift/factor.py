@@ -34,7 +34,7 @@ def _annihilator(n: int, vectors) -> Subspace:
                 col[(pos, sup)] = c
         columns.append(col)
     kernel = [
-        Multivector(n, {(i + 1,): c for i, c in enumerate(vec) if c})
+        Multivector._trusted(n, {(i + 1,): c for i, c in enumerate(vec) if c})
         for vec in column_kernel(columns)
     ]
     return Subspace(MonomialOrder("lex", n, 1), kernel)

@@ -19,10 +19,10 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from .errors import BudgetExceededError, FalsificationError, IterationLimitError
+from .errors import FalsificationError, IterationLimitError
 from .exterior import Multivector, wedge
 from .families import ShiftPair, is_shifted
-from .subspace import _SIZE_CAP, PlueckerVector, Subspace, _lift, _pluecker_vector
+from .subspace import PlueckerVector, Subspace, _check_pluecker_size, _lift, _pluecker_vector
 
 PairLike = Union[ShiftPair, tuple[int, int]]
 
@@ -47,13 +47,8 @@ def shift_map(x: Multivector, pair: PairLike) -> Multivector:
         rest = tuple(a for a in sup if a != i)
         eps = -1 if sup.index(i) % 2 else 1
         sig = -1 if sum(1 for a in rest if a < j) % 2 else 1
-        target = tuple(sorted(rest + (j,)))
-        v = acc.get(target, Fraction(0)) + eps * sig * c
-        if v == 0:
-            acc.pop(target, None)
-        else:
-            acc[target] = v
-    return Multivector(x.n, acc)
+        acc[tuple(sorted(rest + (j,)))] = eps * sig * c  # the target determines sup: no collisions
+    return Multivector._trusted(x.n, acc)
 
 
 def limit_shift(V: Subspace, pair: PairLike) -> Subspace:
@@ -95,9 +90,7 @@ def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
     m = V.dim
     if m == 0:
         raise ValueError("zero subspace has no Pluecker vector")
-    ncoords = comb(comb(V.n, V.k), m)
-    if ncoords > _SIZE_CAP:
-        raise BudgetExceededError(f"Pluecker oracle would need {ncoords} coordinates")
+    _check_pluecker_size(comb(comb(V.n, V.k), m))
     rows = list(V.rows)
     columns, lifted = _lift(V.order, rows + [shift_map(r, p) for r in rows])
     zero = Multivector.zero(len(columns))

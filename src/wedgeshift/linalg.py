@@ -84,11 +84,6 @@ def rref(
     return reduced, pivots, factor
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> Matrix:
-    """Basis of {x : A x = 0} for the dense matrix with the given rows, in free-column order."""
-    return column_kernel([{r: row[c] for r, row in enumerate(rows)} for c in range(ncols)])
-
-
 def column_kernel(columns: Sequence[Mapping[Hashable, Fraction]]) -> Matrix:
     """Nullspace of the matrix whose columns are sparse coordinate maps, in
     free-column order: one sparse row per coordinate some column touches.  No

@@ -2,8 +2,10 @@
 
 Families travel as ``{n, k, sets}`` with 1-based indices and lexicographically
 sorted sets; subspaces as ``{n, k, order, basis}`` with canonical text rows.
-Reading re-canonicalizes (a subspace file may hold any spanning set) and
-rejects invariant violations with positioned messages.
+A record comes from a file or inline JSON text.  Reading is where outside
+input is checked: it re-canonicalizes (a subspace file may hold any spanning
+set) and rejects invariant violations with positioned messages, so malformed
+input ends in a ParseError, never a traceback.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ParseError
-from .exterior import Multivector, format_multivector, parse_multivector
+from .exterior import format_multivector, parse_multivector
 from .families import SetFamily
 from .subspace import MonomialOrder, ORDER_KINDS, Subspace
 
@@ -91,15 +93,21 @@ def subspace_from_record(obj: dict) -> Subspace:
         raise ParseError(f"basis rows violate the subspace contract: {exc}") from exc
 
 
+def _decode(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{what} nests too deeply to decode") from None
+
+
 def load_json(path: Union[str, Path]) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    obj = _decode(text, str(path))
     if not isinstance(obj, dict):
         raise ParseError(f"{path} must hold a JSON object")
     return obj
@@ -109,25 +117,14 @@ def save_json(path: Union[str, Path], obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def parse_input(
-    source: str, n: int | None = None
-) -> Union[SetFamily, Subspace, Multivector]:
-    """Decode a path or literal into a family, subspace, or multivector.
+def parse_input(source: str) -> Union[SetFamily, Subspace]:
+    """Decode a family or subspace record: inline JSON when the source starts
+    with ``{``, else the path of a file holding one.
 
-    JSON objects are recognized by their fields (``sets`` against ``basis``);
-    anything else is a multivector literal, which needs the ground dimension."""
+    The record kind is recognized by its fields (``sets`` against ``basis``).
+    A multivector literal is not a record; parse it with parse_multivector."""
     text = source.strip()
-    if not text.startswith("{") and Path(source).exists():
-        obj = load_json(source)
-    elif text.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad inline JSON: {exc}") from exc
-    else:
-        if n is None:
-            raise ParseError("a multivector literal needs the ground dimension")
-        return parse_multivector(text, n)
+    obj = _decode(text, "inline record") if text.startswith("{") else load_json(source)
     if "sets" in obj:
         return family_from_record(obj)
     if "basis" in obj:

@@ -32,6 +32,12 @@ ORDER_KINDS = ("lex", "weight2")
 _SIZE_CAP = 1_000_000
 
 
+def _check_pluecker_size(ncoords: int) -> None:
+    """BudgetExceededError when a Pluecker vector would exceed the size cap."""
+    if ncoords > _SIZE_CAP:
+        raise BudgetExceededError(f"Pluecker vector would have {ncoords} coordinates (cap {_SIZE_CAP})")
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total order on the grade-k monomial coordinates over ground dimension n."""
@@ -98,7 +104,7 @@ class Subspace:
                 )
         reduced, pivots, _ = rref([v.terms for v in vecs], order.key)
         self.order = order
-        self.rows = tuple(Multivector(order.n, row) for row in reduced)
+        self.rows = tuple(Multivector._trusted(order.n, row) for row in reduced)
         self._pivots = tuple(pivots)
 
     @property
@@ -213,11 +219,7 @@ class Subspace:
         m = self.dim
         if m == 0:
             raise ValueError("zero subspace has no Pluecker vector")
-        ncoords = comb(comb(self.n, self.k), m)
-        if ncoords > _SIZE_CAP:
-            raise BudgetExceededError(
-                f"Pluecker vector would have {ncoords} coordinates (cap {_SIZE_CAP})"
-            )
+        _check_pluecker_size(comb(comb(self.n, self.k), m))
         columns, lifted = _lift(self.order, self.rows)
         return _pluecker_vector(self.order, columns, reduce(wedge, lifted))
 
@@ -249,7 +251,7 @@ def _lift(
     columns = sorted({s for v in vectors for s in v.terms}, key=order.key)
     position = {s: p for p, s in enumerate(columns, 1)}
     lifted = [
-        Multivector(len(columns), {(position[s],): c for s, c in v.terms.items()})
+        Multivector._trusted(len(columns), {(position[s],): c for s, c in v.terms.items()})
         for v in vectors
     ]
     return columns, lifted

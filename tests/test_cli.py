@@ -1,5 +1,6 @@
 """Command-line surface: verbs, exit codes, determinism."""
 
+import itertools
 import json
 
 import pytest
@@ -193,6 +194,25 @@ class TestOracle:
         assert code == 1 and out == ""
         assert err.startswith("usage error") and err.count("\n") == 1
 
+    def test_random_size_cap_before_sampling(self, capsys, monkeypatch):
+        import wedgeshift.cli as cli
+
+        def sample(*args, **kwargs):  # listing C(40, 20) supports would not finish
+            raise AssertionError("sampled before the size cap was checked")
+
+        monkeypatch.setattr(cli, "random_subspace", sample)
+        code, out, err = run(capsys, "oracle-pluecker", "--random", "1",
+                             "--n", "40", "--k", "20", "--m", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("budget") and err.count("\n") == 1
+        # C(20, 10) = 184,756 coordinates pass at dimension 1, not at dimension 2
+        code, out, err = run(capsys, "oracle-pluecker", "--random", "2",
+                             "--n", "20", "--k", "10", "--m", "2")
+        assert code == 3 and out == "" and "17067297390 coordinates" in err
+        code, out, _ = run(capsys, "oracle-pluecker", "--random", "0",
+                           "--n", "40", "--k", "20", "--m", "1")
+        assert code == 0 and json.loads(out)["trials"] == 0
+
     def test_file_mode_size_cap_at_30_15(self, capsys, tmp_path):
         p = tmp_path / "big.json"
         p.write_text(json.dumps({"n": 30, "k": 15, "basis": [
@@ -237,6 +257,66 @@ class TestRecordValidation:
         code, _, err = run(capsys, verb, str(p))
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+DEEP_RECORD = '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+class TestMalformedInput:
+    """Every record verb reads a path or inline JSON; what cannot be read or
+    decoded exits 1 with one stderr line, never a traceback."""
+
+    VERBS = {
+        "verify-family": (),
+        "pipeline": (),
+        "shift": ("--pair", "2,1"),
+        "limit": ("--pair", "2,1"),
+        "init": (),
+        "annihilator": (),
+        "oracle-pluecker": ("--pair", "2,1"),
+    }
+
+    @pytest.fixture(params=["missing", "directory", "not-utf8", "deep-file", "deep-inline"])
+    def source(self, request, tmp_path):
+        if request.param == "missing":
+            return str(tmp_path / "nowhere.json")
+        if request.param == "directory":
+            return str(tmp_path)
+        if request.param == "deep-inline":
+            return DEEP_RECORD
+        p = tmp_path / "input.json"
+        if request.param == "not-utf8":
+            p.write_bytes(b'{"n": 4, "k": 2, "sets": [[1, 2]], "x": "\xff"}')
+        else:
+            p.write_text(DEEP_RECORD)
+        return str(p)
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_exits_one(self, capsys, verb, source):
+        code, out, err = run(capsys, verb, source, *self.VERBS[verb])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_missing_path_is_not_a_literal(self, capsys):
+        code, _, err = run(capsys, "pipeline", "/nonexistent.json")
+        assert code == 1 and "cannot read /nonexistent.json" in err
+
+    def test_factor_long_literal(self, capsys):
+        # all 56 supports at (8,3): longer than a file name may be
+        literal = " + ".join("^".join(f"e{i}" for i in s)
+                             for s in itertools.combinations(range(1, 9), 3))
+        assert len(literal) == 613
+        code, out, _ = run(capsys, "factor", literal, "--n", "8")
+        report = json.loads(out)
+        assert code == 0 and report["factor_dim"] == 1
+        assert report["factors"] == [" + ".join(f"e{i}" for i in range(1, 9))]
+
+    def test_factor_literal_naming_a_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "e1^e2").write_text(json.dumps({"n": 3, "k": 2, "sets": [[1, 2]]}))
+        code, out, _ = run(capsys, "factor", "e1^e2", "--n", "3")
+        assert code == 0 and json.loads(out)["factor_dim"] == 2
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wedgeshift.linalg import column_kernel, det, inverse, nullspace, rref
+from wedgeshift.linalg import column_kernel, det, inverse, rref
 
 sympy = pytest.importorskip("sympy")
 
@@ -21,6 +21,11 @@ SHAPES = {
     "one_by_one": (1, 1, None),
 }
 SEEDS = range(12)
+
+
+def nullspace(rows, ncols):
+    """Kernel of a dense matrix, transposed into column_kernel's sparse columns."""
+    return column_kernel([{r: row[c] for r, row in enumerate(rows)} for c in range(ncols)])
 
 
 def entry(rng):

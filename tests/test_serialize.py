@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wedgeshift import MonomialOrder, Multivector, ParseError, SetFamily
+from wedgeshift import MonomialOrder, ParseError, SetFamily
 from wedgeshift.sampling import random_subspace
 from wedgeshift.serialize import (
     family_from_record,
@@ -64,19 +64,25 @@ class TestParseInput:
         value = parse_input('{"n": 4, "k": 2, "sets": [[1, 2], [1, 3]]}')
         assert isinstance(value, SetFamily) and value.size == 2
 
-    def test_multivector_literal(self):
-        value = parse_input("e1^e2 + e2^e3", n=3)
-        assert isinstance(value, Multivector) and len(value.terms) == 2
-
-    def test_multivector_needs_n(self):
-        with pytest.raises(ParseError, match="ground dimension"):
-            parse_input("e1^e2")
-
     def test_file(self, tmp_path):
         p = tmp_path / "family.json"
         p.write_text(json.dumps({"n": 4, "k": 2, "sets": [[1, 2]]}))
         value = parse_input(str(p))
         assert isinstance(value, SetFamily)
+
+    def test_source_is_inline_json_or_a_path(self):
+        with pytest.raises(ParseError, match="cannot read"):
+            parse_input("e1^e2")
+        with pytest.raises(ParseError, match="inline record is not valid JSON"):
+            parse_input('{"n": 3,')
+
+    def test_deep_nesting(self, tmp_path):
+        deep = '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        p = tmp_path / "deep.json"
+        p.write_text(deep)
+        for source in (deep, str(p)):
+            with pytest.raises(ParseError, match="nests too deeply"):
+                parse_input(source)
 
     def test_unclassifiable_record(self):
         with pytest.raises(ParseError, match="neither"):

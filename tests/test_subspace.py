@@ -1,6 +1,8 @@
 """Canonical subspaces, their calculus, and the Plücker embedding."""
 
+import functools
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -19,12 +21,16 @@ from wedgeshift import (
     apply_linear,
     limit_shift,
     span,
+    wedge,
 )
+from wedgeshift.factor import _annihilator
+from wedgeshift.limits import decreasing_pairs, pluecker_limit, shift_map
 from wedgeshift.sampling import (
     random_multivector,
     random_rational,
     random_subspace,
 )
+from wedgeshift.subspace import _lift
 
 
 class TestSpan:
@@ -360,3 +366,54 @@ class TestPluecker:
                 V.pluecker()
 
         assert _peak_bytes(attempt) < 1 << 20
+
+
+def _assert_well_formed(x):
+    """x is what the validating constructor would build from its own terms."""
+    rebuilt = Multivector(x.n, dict(x.terms))
+    assert rebuilt == x and dict(rebuilt.terms) == dict(x.terms)
+    for sup, c in x.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert all(a < b for a, b in zip(sup, sup[1:]))
+        assert all(1 <= i <= x.n for i in sup)
+
+
+class TestTrustedSites:
+    """Kernel outputs wrapped without checks agree with the validating
+    constructor: nonzero Fractions on strictly increasing, in-range supports."""
+
+    @pytest.mark.parametrize("kind", ["lex", "weight2"])
+    @pytest.mark.parametrize("n, k", [(5, 2), (6, 3)])
+    def test_outputs_pass_validation(self, monkeypatch, kind, n, k):
+        built = []  # every Multivector the unchecked constructor wraps
+        trusted = Multivector._trusted.__func__
+
+        def recording(cls, n, terms):
+            built.append(trusted(cls, n, terms))
+            return built[-1]
+
+        monkeypatch.setattr(Multivector, "_trusted", classmethod(recording))
+        rng = random.Random(1000 * n + k)
+        order = MonomialOrder(kind, n, k)
+        outputs = []
+        for m in (1, 2, 3):
+            V = random_subspace(rng, order, m)
+            rows = list(V.rows)
+            lines = [random_multivector(rng, n, 1) for _ in range(k)]
+            decomposable = functools.reduce(wedge, lines)
+            outputs += rows + _lift(order, rows)[1] + [decomposable]
+            for x, y in itertools.product(rows, repeat=2):
+                c = random_rational(rng, nonzero=True)
+                outputs += [wedge(x, y), x.scale(c), x + y, x - y, x + x.scale(-1)]
+            for p in decreasing_pairs(n):
+                outputs += [shift_map(r, p) for r in rows]
+                outputs += limit_shift(V, p).rows
+            V.pluecker()
+            pluecker_limit(V, (n, 1))
+            factors = _annihilator(n, [decomposable])
+            assert factors.dim == k
+            outputs += factors.rows + _annihilator(n, rows).rows + _annihilator(n, lines).rows
+        assert any(x.is_zero for x in outputs)
+        assert {x.n for x in built} > {n}  # the lifts over their own positions
+        for x in {id(x): x for x in outputs + built}.values():
+            _assert_well_formed(x)
