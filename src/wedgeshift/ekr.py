@@ -210,17 +210,18 @@ def hilton_milner_verify(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Verify
         # lex order is iff the last set starts with 1: were v common to all
         # sets and 1 missing from some A, shifting v to 1 would put
         # A - v + 1, a set without v, in the family.
-        if fam.size == 0 or fam.sets[-1][0] == 1:
+        size = len(fam.sets)
+        if size == 0 or fam.sets[-1][0] == 1:
             continue
         checked += 1
-        if fam.size > bound:
+        if size > bound:
             raise FalsificationError(
-                f"non-star shifted intersecting family of size {fam.size} > bound {bound}: {fam.sets}"
+                f"non-star shifted intersecting family of size {size} > bound {bound}: {fam.sets}"
             )
-        if fam.size > max_size:
-            max_size = fam.size
+        if size > max_size:
+            max_size = size
             witnesses = [[list(s) for s in fam.sets]]
-        elif fam.size == max_size:
+        elif size == max_size:
             witnesses.append([list(s) for s in fam.sets])
     return VerifyReport(
         identifier=f"hilton-milner(n={n},k={k})",

@@ -187,9 +187,15 @@ def enumerate_families(
 
     Each node of the walk is one family state: it yields that family, then
     extends it by each later addable base set in decreasing position, so the
-    first two modes visit exactly as many nodes as they yield.  Raises
-    BudgetExceededError past ``budget`` visited nodes, and up front when
-    C(n, k) + 1 > budget, before the C(n, k)^2-bit disjointness table is built.
+    all and shifted modes visit exactly as many nodes as they yield.  A frame
+    carries ``avail``, the positions whose dominance covers are all chosen
+    (every position outside shifted mode); when u joins, only the sets that
+    cover u can become available, so each node tests at most k of them, and
+    every candidate the walk pops is addable.  A frame also carries its family
+    as a lex-sorted tuple, the parent's with the new set spliced in, which is
+    yielded as is.  Raises BudgetExceededError past ``budget`` visited nodes,
+    and up front when C(n, k) + 1 > budget, before the C(n, k)^2-bit
+    disjointness table is built.
     """
     if mode not in ENUMERATION_MODES:
         raise ValueError(f"unknown enumeration mode {mode!r}")
@@ -200,55 +206,54 @@ def enumerate_families(
     base = list(itertools.combinations(range(1, n + 1), k))
     if mode == "shifted_intersecting":
         base.sort(key=lambda s: (sum(s), s))
-    index = {s: t for t, s in enumerate(base)}
     N = len(base)
     full = (1 << N) - 1
-    disjoint = [0] * N
-    for t, s in enumerate(base):
-        for u, other in enumerate(base):
-            if not set(s).intersection(other):
-                disjoint[t] |= 1 << u
+    bits = [sum(1 << a for a in s) for s in base]
+    disjoint = [sum(1 << u for u, b in enumerate(bits) if not a & b) for a in bits]
     covers = [0] * N
+    upper: list[list[int]] = [[] for _ in range(N)]  # upper[u]: positions that cover u
     if mode == "shifted_intersecting":
+        index = {s: t for t, s in enumerate(base)}
         for t, s in enumerate(base):
             for c in _dominance_covers(s):
                 covers[t] |= 1 << index[c]
+                upper[index[c]].append(t)
+        avail = sum(1 << t for t in range(N) if not covers[t])
+    else:
+        avail = full
 
     maximal_only = mode == "maximal_intersecting"
     nodes = 0
     families = 0
-    chosen: list[SetTuple] = []
     # One frame per family on the current path: [candidates still to try,
-    # mask of chosen positions, union of their disjointness rows].  A later
-    # position u is addable iff it is disjoint from no chosen set (u is not
-    # in the union, as disjointness is symmetric) and, in shifted mode, all
-    # its covers are chosen; covers sit at earlier positions, so they are
-    # checked when u comes up, against the mask that stays fixed in its frame.
-    stack = [[full, 0, 0]]
+    # mask of chosen positions, union of their disjointness rows, avail,
+    # lex-sorted family].  Chosen positions increase along a path, so a
+    # candidate is a later available position outside the union (disjointness
+    # is symmetric), and each candidate popped is addable.
+    stack = [[avail, 0, 0, avail, ()]]
     while True:
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(
                 f"enumeration exceeded budget of {budget} nodes after {families} families"
             )
-        _, mask, blocked = stack[-1]
+        cands, mask, blocked, avail, sets = stack[-1]
         if not maximal_only or full & ~(mask | blocked) == 0:
             families += 1
-            yield SetFamily._trusted(n, k, tuple(sorted(chosen)))
-        while True:
-            frame = stack[-1]
-            cands, mask, blocked = frame
-            if not cands:
-                stack.pop()
-                if not stack:
-                    return
-                chosen.pop()
-                continue
-            u = cands.bit_length() - 1
-            frame[0] = cands ^ (1 << u)
-            if covers[u] & ~mask:
-                continue
-            chosen.append(base[u])
-            blocked |= disjoint[u]
-            stack.append([full & ~((2 << u) - 1) & ~blocked, mask | (1 << u), blocked])
-            break
+            yield SetFamily._trusted(n, k, sets)
+        while not cands:
+            stack.pop()
+            if not stack:
+                return
+            cands, mask, blocked, avail, sets = stack[-1]
+        u = cands.bit_length() - 1
+        stack[-1][0] = cands ^ (1 << u)
+        mask |= 1 << u
+        for v in upper[u]:
+            if not covers[v] & ~mask:
+                avail |= 1 << v
+        blocked |= disjoint[u]
+        s = base[u]
+        at = bisect_left(sets, s)
+        cands = avail & ~((2 << u) - 1) & ~blocked
+        stack.append([cands, mask, blocked, avail, sets[:at] + (s,) + sets[at:]])

@@ -157,9 +157,12 @@ def triangular_fixed_point(
     ``comb_shift``.  On either route the round cap (default 10*n^2) turns a
     runaway drive into IterationLimitError instead of a loop.  The result
     has a monomial basis whose support family is shifted, and the trace
-    lists every applied step."""
+    lists every applied step.  The zero subspace is returned as is, with an
+    empty trace, before any pair is listed."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
+    if V.is_zero:  # every map fixes the zero subspace: no pairs, no steps
+        return V, []
     n = V.n
     pairs = decreasing_pairs(n)
     steps: list[TraceStep] = []

@@ -71,6 +71,13 @@ class TestPipeline:
         assert tuple(route.choices) == ROUTES
         assert route.default in ROUTES
 
+    @pytest.mark.parametrize("route", ["iterate", "init-then-shift"])
+    def test_zero_subspace_at_large_n(self, capsys, route):
+        # no n(n-1)/2 pair list for a subspace every shear fixes
+        code, out, _ = run(capsys, "pipeline", '{"n":1200,"k":600,"basis":[]}', "--route", route)
+        report = json.loads(out[out.index("{"):])
+        assert code == 0 and report["size"] == 0 and report["certificate"]["steps"] == []
+
     def test_non_annihilating_input(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"n": 4, "k": 2, "basis": ["e1^e2", "e3^e4"]}))

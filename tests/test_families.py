@@ -12,6 +12,7 @@ from wedgeshift import (
     ShiftPair,
     enumerate_families,
     family_decompose,
+    hilton_milner_verify,
     is_intersecting,
     is_star,
     star_family,
@@ -220,6 +221,35 @@ class TestWalkDifferential:
             if F.size:
                 assert (F.sets[-1][0] == 1) == (is_star(F) is not None)
 
-    def test_yielded_families_pass_validation(self):
-        for F in enumerate_families(5, 2, "shifted_intersecting"):
+    @pytest.mark.parametrize("n,k,mode", [
+        *((n, k, mode) for n, k in [(5, 2), (6, 3)] for mode in ENUMERATION_MODES),
+        (8, 4, "shifted_intersecting"),
+    ])
+    def test_yielded_families_pass_validation(self, n, k, mode):
+        # the walk builds families unchecked; each must rebuild equal through
+        # the validating constructor, and stay lex-sorted for the star test
+        for F in enumerate_families(n, k, mode):
             assert SetFamily(F.n, F.k, F.sets) == F
+            assert list(F.sets) == sorted(F.sets)
+
+    def test_hm_certificate_matches_reference_walk(self):
+        # 71 witnesses of size 35 at (8, 4), more than the 10 reported, so the
+        # reported ones pin the order of the walk
+        enumerated = checked = max_size = 0
+        witnesses = []
+        for sets in _reference_walk(8, 4, "shifted_intersecting"):
+            enumerated += 1
+            if not sets or set(sets[0]).intersection(*sets[1:]):
+                continue
+            checked += 1
+            if len(sets) > max_size:
+                max_size, witnesses = len(sets), [sets]
+            elif len(sets) == max_size:
+                witnesses.append(sets)
+        assert (enumerated, max_size, len(witnesses)) == (3978, 35, 71)
+        cert = hilton_milner_verify(8, 4).certificate
+        assert cert["enumerated"] == enumerated
+        assert cert["non_star_checked"] == checked
+        assert cert["max_size"] == max_size
+        assert cert["witness_count"] == len(witnesses)
+        assert cert["witnesses"] == [[list(s) for s in w] for w in witnesses[:10]]

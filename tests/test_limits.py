@@ -439,6 +439,21 @@ class TestTriangularFixedPoint:
         with pytest.raises(ValueError):
             triangular_fixed_point(V, route="sideways")
 
+    def test_zero_subspace_lists_no_pairs(self, monkeypatch):
+        # the zero subspace is fixed by every map: neither route may list the
+        # n(n-1)/2 pairs or take a limit, whatever n is
+        import wedgeshift.limits as limits
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("zero subspace reached the pair loop")
+
+        monkeypatch.setattr(limits, "limit_shift", refuse)
+        monkeypatch.setattr(limits, "decreasing_pairs", refuse)
+        V = monomial_span(1200, 600, [])
+        for route in ("iterate", "init-then-shift"):
+            W, trace = triangular_fixed_point(V, route=route)
+            assert W == V and W.is_zero and trace == []
+
     def test_trace_records(self):
         V = monomial_span(4, 2, [(2, 3), (2, 4), (1, 2)])
         _, trace = triangular_fixed_point(V, route="iterate")
