@@ -47,6 +47,11 @@ def _pair(text: str) -> ShiftPair:
         raise _UsageError(f"bad --pair {text!r}: expected I,J with distinct indices") from exc
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise _UsageError(f"--budget must be at least 1, got {budget}")
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -199,6 +204,7 @@ def _run_example_cross(args) -> int:
 def _run_enumerate(args) -> int:
     from .families import enumerate_families
 
+    _check_budget(args.budget)
     mode = args.mode.replace("-", "_")
     count = 0
     max_size = 0
@@ -212,6 +218,7 @@ def _run_enumerate(args) -> int:
 
 
 def _run_hm_verify(args) -> int:
+    _check_budget(args.budget)
     report = hilton_milner_verify(args.n, args.k, budget=args.budget)
     print(f"max non-star size {report.size} <= bound {report.bound}: "
           f"{'satisfied' if report.satisfied else 'VIOLATED'}")

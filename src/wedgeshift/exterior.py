@@ -22,7 +22,6 @@ from math import comb, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from . import linalg
 from .errors import GroundMismatchError, HomogeneityError, ParseError
 
 Rational = Union[int, Fraction]
@@ -106,9 +105,6 @@ class Multivector:
     def terms(self) -> Mapping[Support, Fraction]:
         """Read-only view of the nonzero terms."""
         return MappingProxyType(self._terms)
-
-    def coefficient(self, support: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(support), Fraction(0))
 
     def grades(self) -> frozenset[int]:
         return frozenset(len(s) for s in self._terms)
@@ -255,27 +251,12 @@ class LinearMap:
         self.n = n
         self.entries = rows
 
-    @classmethod
-    def diagonal(cls, values: Sequence[Rational]) -> "LinearMap":
-        n = len(values)
-        return cls([[values[r] if r == c else 0 for c in range(n)] for r in range(n)])
-
     def entry(self, r: int, c: int) -> Fraction:
         return self.entries[r - 1][c - 1]
 
     def column(self, i: int) -> Multivector:
         """Image of e_i as a grade-one multivector."""
         return Multivector(self.n, {(r + 1,): self.entries[r][i - 1] for r in range(self.n)})
-
-    def det(self) -> Fraction:
-        return linalg.det(self.entries)
-
-    def inverse(self) -> "LinearMap":
-        return LinearMap(linalg.inverse(self.entries))
-
-    @property
-    def is_invertible(self) -> bool:
-        return self.det() != 0
 
     def __call__(self, x: Multivector) -> Multivector:
         return apply_linear(self, x)

@@ -2,9 +2,10 @@
 
 A grade-one element a is a linear factor of v exactly when a wedge v
 vanishes, so factor spaces are kernels of explicit multiplication matrices
-and cofactors are recovered constructively by a change of basis.  On top of
-that sit the common annihilator of a subspace and the complement-pair
-construction of a factor-free self-annihilating space of maximal dimension.
+and the cofactor of a factor a is v contracted by the dual of the first
+basis vector at which a is nonzero.  On top of that sit the common
+annihilator of a subspace and the complement-pair construction of a
+factor-free self-annihilating space of maximal dimension.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import BudgetExceededError, FalsificationError, HomogeneityError
-from .exterior import LinearMap, Multivector, apply_linear, wedge
+from .exterior import Multivector, wedge
 from .ekr import self_annihilating
 from .linalg import column_kernel
 from .subspace import _SIZE_CAP, MonomialOrder, Subspace, span
@@ -56,9 +57,10 @@ def linear_factors(v: Multivector) -> Subspace:
 def extract_cofactor(v: Multivector, a: Multivector) -> Multivector:
     """Constructive factorization: returns w with a wedge w = v, given a wedge v = 0.
 
-    The basis vector at a's first nonzero coordinate is swapped for a, every
-    monomial of the transformed element must then carry that coordinate, and
-    stripping it yields the cofactor back in the original basis."""
+    With p the first index where a_p is nonzero, w is the contraction of v by
+    the dual basis vector e_p*, divided by a_p: the unique cofactor with no
+    e_p term.  Each term of v whose support holds p loses it, with the sign
+    of p's position in the support; the other terms contribute nothing."""
     if a.is_zero:
         raise ValueError("zero is not a valid factor")
     if a.grades() != frozenset({1}):
@@ -67,22 +69,14 @@ def extract_cofactor(v: Multivector, a: Multivector) -> Multivector:
         raise HomogeneityError("cofactor extraction needs nonzero homogeneous input")
     if not wedge(a, v).is_zero:
         raise ValueError("not a factor: a wedge v is nonzero")
-    p = min(s[0] for s in a.terms)
-    entries = [
-        [Fraction(1) if r == c else Fraction(0) for c in range(v.n)] for r in range(v.n)
-    ]
-    for sup, c in a.terms.items():
-        entries[sup[0] - 1][p - 1] = c
-    g = LinearMap(entries)
-    u = apply_linear(g.inverse(), v)
-    stripped: dict[tuple[int, ...], Fraction] = {}
-    for sup, c in u.terms.items():
-        if p not in sup:
-            raise FalsificationError("transformed element escaped the factor coordinate")
-        rest = tuple(x for x in sup if x != p)
-        sign = -1 if sum(1 for x in rest if x < p) % 2 else 1
-        stripped[rest] = sign * c
-    w = apply_linear(g, Multivector(v.n, stripped))
+    (p,) = min(a.terms)
+    ap = a.terms[(p,)]
+    contracted: dict[tuple[int, ...], Fraction] = {}
+    for sup, c in v.terms.items():
+        if p in sup:
+            at = sup.index(p)
+            contracted[sup[:at] + sup[at + 1:]] = (-c if at % 2 else c) / ap
+    w = Multivector._trusted(v.n, contracted)
     if wedge(a, w) != v:
         raise FalsificationError("cofactor failed to wedge back to the input")
     return w

@@ -39,6 +39,12 @@ class ShiftPair:
             raise ValueError(f"shift pair needs distinct positive indices, got ({self.i}, {self.j})")
 
 
+def _check_pair(pair: ShiftPair, n: int) -> None:
+    """ValueError unless both indices of the pair lie in the ground set [n]."""
+    if pair.i > n or pair.j > n:
+        raise ValueError(f"shift pair ({pair.i}, {pair.j}) out of range for ground dimension {n}")
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """A duplicate-free family of k-subsets of [n], stored sorted lexicographically.
@@ -122,6 +128,7 @@ def combinatorial_shift(F: SetFamily, pair: ShiftPair) -> SetFamily:
     """One shift step: each set with i but not j moves to (A - i) + j unless that
     set is already present; sets containing j (or missing i) stay put.  Size is
     preserved."""
+    _check_pair(pair, F.n)
     i, j = pair.i, pair.j
     members = set(F.sets)
     out = []

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .errors import FalsificationError, IterationLimitError
 from .exterior import Multivector, wedge
-from .families import ShiftPair, is_shifted
+from .families import ShiftPair, _check_pair, is_shifted
 from .subspace import PlueckerVector, Subspace, _check_pluecker_size, _lift, _pluecker_vector
 
 PairLike = Union[ShiftPair, tuple[int, int]]
@@ -29,8 +29,7 @@ PairLike = Union[ShiftPair, tuple[int, int]]
 
 def _as_pair(pair: PairLike, n: int) -> ShiftPair:
     p = pair if isinstance(pair, ShiftPair) else ShiftPair(*pair)
-    if p.i > n or p.j > n:
-        raise ValueError(f"shift pair ({p.i}, {p.j}) out of range for ground dimension {n}")
+    _check_pair(p, n)
     return p
 
 
@@ -59,7 +58,7 @@ def limit_shift(V: Subspace, pair: PairLike) -> Subspace:
     under the same pair."""
     p = _as_pair(pair, V.n)
     images = [shift_map(r, p) for r in V.rows]
-    members = V._members_mapped_into(images, V)
+    members = V._members_mapped_into(images)
     if len(members) == V.dim:
         return V
     out = Subspace(V.order, images + members)

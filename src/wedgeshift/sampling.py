@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .exterior import LinearMap, Multivector
-from .families import SetFamily
+from .linalg import rref
 from .subspace import MonomialOrder, Subspace
 
 
@@ -50,37 +50,10 @@ def random_subspace(
     raise RuntimeError(f"failed to sample a {m}-dimensional subspace")
 
 
-def random_upper_triangular(rng: random.Random, n: int) -> LinearMap:
-    """Invertible upper-triangular map with random small rational entries."""
-    rows = []
-    for r in range(n):
-        row = [Fraction(0)] * n
-        row[r] = random_rational(rng, nonzero=True)
-        for c in range(r + 1, n):
-            row[c] = random_rational(rng)
-        rows.append(row)
-    return LinearMap(rows)
-
-
 def random_invertible(rng: random.Random, n: int, attempts: int = 100) -> LinearMap:
+    """Random n x n map, redrawn until elimination finds n pivots (full rank)."""
     for _ in range(attempts):
-        g = LinearMap([[random_rational(rng) for _ in range(n)] for _ in range(n)])
-        if g.is_invertible:
-            return g
+        rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        if len(rref([dict(enumerate(row)) for row in rows])[1]) == n:
+            return LinearMap(rows)
     raise RuntimeError("failed to sample an invertible map")
-
-
-def random_intersecting_family(
-    rng: random.Random, n: int, k: int, max_size: int | None = None
-) -> SetFamily:
-    """Greedy random intersecting family of k-subsets of [n]; never empty."""
-    pool = list(itertools.combinations(range(1, n + 1), k))
-    rng.shuffle(pool)
-    target = max_size or rng.randint(1, len(pool))
-    chosen: list[tuple[int, ...]] = []
-    for s in pool:
-        if len(chosen) >= target:
-            break
-        if all(set(s).intersection(t) for t in chosen):
-            chosen.append(s)
-    return SetFamily(n, k, tuple(chosen))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, GroundMismatchError, HomogeneityError
 from .exterior import Multivector, Support, wedge
@@ -66,18 +66,6 @@ class PlueckerVector:
     order: MonomialOrder
     items: tuple[tuple[tuple[Support, ...], Fraction], ...]
 
-    @property
-    def leading(self) -> tuple[Support, ...]:
-        """Order-earliest nonvanishing coordinate."""
-        return self.items[0][0]
-
-    def coordinate(self, key: Sequence[Sequence[int]]) -> Fraction:
-        wanted = tuple(tuple(s) for s in key)
-        for k, v in self.items:
-            if k == wanted:
-                return v
-        return Fraction(0)
-
 
 class Subspace:
     """Row space in reduced echelon form over an explicit monomial order.
@@ -102,7 +90,7 @@ class Subspace:
                 raise HomogeneityError(
                     f"spanning vector of grade {v.grade}, order expects {order.k}"
                 )
-        reduced, pivots, _ = rref([v.terms for v in vecs], order.key)
+        reduced, pivots = rref([v.terms for v in vecs], order.key)
         self.order = order
         self.rows = tuple(Multivector._trusted(order.n, row) for row in reduced)
         self._pivots = tuple(pivots)
@@ -127,14 +115,6 @@ class Subspace:
         """Pivot supports of the canonical rows, in coordinate order."""
         return self._pivots
 
-    def _check_member_input(self, x: Multivector) -> None:
-        if x.n != self.n:
-            raise GroundMismatchError(f"ground dimensions differ: {x.n} vs {self.n}")
-        if not x.is_homogeneous:
-            raise HomogeneityError("membership needs a homogeneous multivector")
-        if not x.is_zero and x.grade != self.k:
-            raise GroundMismatchError(f"grade {x.grade} element against a grade-{self.k} subspace")
-
     def _residue(self, x: Multivector) -> dict[Support, Fraction]:
         """Terms of x reduced against the canonical rows: zero exactly on V.
 
@@ -152,19 +132,12 @@ class Subspace:
                         del acc[sup]
         return acc
 
-    def contains(self, x: Multivector) -> bool:
-        """True iff x reduces to zero against the canonical rows."""
-        self._check_member_input(x)
-        return not self._residue(x)
-
-    def _members_mapped_into(
-        self, images: Sequence[Multivector], W: "Subspace"
-    ) -> list[Multivector]:
+    def _members_mapped_into(self, images: Sequence[Multivector]) -> list[Multivector]:
         """Basis of the combinations sum c_i r_i of the canonical rows r_i whose
-        image sum c_i images[i] lies in W: the kernel of the residues modulo W,
+        image sum c_i images[i] lies in V: the kernel of the residues modulo V,
         a dim-column matrix over only the supports those residues touch.  When
-        every image lies in W this is the rows themselves."""
-        residues = [W._residue(x) for x in images]
+        every image lies in V this is the rows themselves."""
+        residues = [self._residue(x) for x in images]
         if not any(residues):
             return list(self.rows)
         members = []
@@ -175,28 +148,6 @@ class Subspace:
                     acc = acc + row.scale(coeff)
             members.append(acc)
         return members
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace(self.order, self.rows + other.rows)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Exact intersection: the members of V that reduce to zero modulo W."""
-        self._check_compatible(other)
-        members = self._members_mapped_into(self.rows, other)
-        if len(members) == self.dim:
-            return self
-        return Subspace(self.order, members)
-
-    def _check_compatible(self, other: "Subspace") -> None:
-        if self.order != other.order:
-            raise GroundMismatchError(
-                f"subspaces disagree: {self.order} vs {other.order}"
-            )
-
-    def apply_map(self, f: Callable[[Multivector], Multivector]) -> "Subspace":
-        """Span of the images of the canonical rows under a grade-preserving linear map."""
-        return Subspace(self.order, [f(r) for r in self.rows])
 
     def monomial_basis(self) -> Optional[SetFamily]:
         """Support family when every canonical row is a single monomial, else None."""

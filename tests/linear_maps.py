@@ -1,16 +1,28 @@
 """Finite-parameter maps that serve as test oracles for the limit code.
 
 The package computes shear and weight limits directly; these build the
-literal matrices for a fixed parameter t so tests can compare against them.
+literal matrices for a fixed parameter t so tests can compare against them,
+and test invertibility independently of the package.
 """
 
 from fractions import Fraction
 
+from oracles import reduce_rows
 from wedgeshift import GroundMismatchError, LinearMap
 
 
 def identity(n):
     return LinearMap([[1 if r == c else 0 for c in range(n)] for r in range(n)])
+
+
+def diagonal(values):
+    n = len(values)
+    return LinearMap([[values[r] if r == c else 0 for c in range(n)] for r in range(n)])
+
+
+def is_invertible(g):
+    """Full rank under the oracle's own elimination."""
+    return len(reduce_rows(g.entries, g.n)[1]) == g.n
 
 
 def shear(n, i, j, t):
@@ -31,7 +43,7 @@ def weight_diagonal(n, t):
     t = Fraction(t)
     if t == 0:
         raise ValueError("weight diagonal needs a nonzero parameter")
-    return LinearMap.diagonal([1 / t ** (2 ** i) for i in range(1, n + 1)])
+    return diagonal([1 / t ** (2 ** i) for i in range(1, n + 1)])
 
 
 def compose(g, h):

@@ -139,6 +139,18 @@ class TestSmallVerbs:
         code, _, err = run(capsys, "shift", str(p), "--pair", "2,2")
         assert code == 1
 
+    @pytest.mark.parametrize("pair", ["9,1", "1,9"])
+    def test_pair_out_of_range(self, capsys, tmp_path, pair):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"n": 3, "k": 1, "sets": [[1]]}))
+        sub = tmp_path / "sub.json"
+        sub.write_text(json.dumps({"n": 3, "k": 1, "basis": ["e1"]}))
+        i, j = pair.split(",")
+        expected = f"error: shift pair ({i}, {j}) out of range for ground dimension 3\n"
+        for verb, path in (("shift", fam), ("limit", sub)):
+            code, out, err = run(capsys, verb, str(path), "--pair", pair)
+            assert (code, out, err) == (1, "", expected), verb
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):
@@ -161,6 +173,11 @@ class TestEnumerate:
                              "--mode", "all-intersecting", "--count-only")
         assert code == 3 and "budget" in err and out == ""
 
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--n", "4", "--k", "2", "--budget", "-1")
+        assert (code, out) == (1, "")
+        assert err == "usage error: --budget must be at least 1, got -1\n"
+
     def test_streams_families(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "2", "--k", "1",
                            "--mode", "shifted-intersecting")
@@ -173,6 +190,11 @@ class TestHmVerify:
     def test_6_2(self, capsys):
         code, out, _ = run(capsys, "hm-verify", "--n", "6", "--k", "2")
         assert code == 0 and "max non-star size 3 <= bound 3" in out
+
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "hm-verify", "--n", "6", "--k", "2", "--budget", "-1")
+        assert (code, out) == (1, "")
+        assert err == "usage error: --budget must be at least 1, got -1\n"
 
 
 class TestOracle:

@@ -4,6 +4,8 @@ from math import comb
 
 import pytest
 
+from oracles import apply_map
+from samplers import random_intersecting_family, random_upper_triangular
 from wedgeshift import (
     FalsificationError,
     MonomialOrder,
@@ -22,11 +24,7 @@ from wedgeshift import (
     star_family,
 )
 from wedgeshift.ekr import _shifted_cert
-from wedgeshift.sampling import (
-    random_intersecting_family,
-    random_invertible,
-    random_upper_triangular,
-)
+from wedgeshift.sampling import random_invertible
 
 
 def monomial_span(n, k, sets, kind="lex"):
@@ -92,7 +90,7 @@ class TestSelfAnnihilating:
             F = random_intersecting_family(rng, 5, 2)
             V = monomial_span(5, 2, F.sets)
             g = random_invertible(rng, 5)
-            W = V.apply_map(lambda x: apply_linear(g, x))
+            W = apply_map(V, lambda x: apply_linear(g, x))
             assert self_annihilating(W) == self_annihilating(V) == True  # noqa: E712
 
 
@@ -159,7 +157,7 @@ class TestPipeline:
     def test_transformed_star(self, rng):
         F = star_family(5, 2, 1)
         g = random_upper_triangular(rng, 5)
-        V = monomial_span(5, 2, F.sets).apply_map(lambda x: apply_linear(g, x))
+        V = apply_map(monomial_span(5, 2, F.sets), lambda x: apply_linear(g, x))
         for route in ("iterate", "init-then-shift"):
             report = ekr_pipeline(V, route=route)
             assert report.size == 4 == report.bound and report.satisfied
@@ -180,7 +178,7 @@ class TestPipeline:
         for _ in range(5):
             F = random_intersecting_family(rng, 5, 2)
             g = random_upper_triangular(rng, 5)
-            V = monomial_span(5, 2, F.sets).apply_map(lambda x: apply_linear(g, x))
+            V = apply_map(monomial_span(5, 2, F.sets), lambda x: apply_linear(g, x))
             report = ekr_pipeline(V, route="iterate")
             assert all(st["dim"] == V.dim for st in report.certificate["steps"])
             assert report.satisfied

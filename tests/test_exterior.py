@@ -21,7 +21,7 @@ from wedgeshift import (
     parse_multivector,
     wedge,
 )
-from linear_maps import compose, identity, shear, weight_diagonal
+from linear_maps import compose, diagonal, identity, is_invertible, shear, weight_diagonal
 from wedgeshift.sampling import (
     random_invertible,
     random_multivector,
@@ -231,7 +231,7 @@ class TestApplyLinear:
         assert apply_linear(g, mv(3, "e2^e3")) == mv(3, "e1^e3 + e2^e3")
 
     def test_diagonal_scaling(self, mv):
-        g = LinearMap.diagonal([2, 1, 1])
+        g = diagonal([2, 1, 1])
         assert apply_linear(g, mv(3, "e1^e2")) == mv(3, "2*e1^e2")
 
     def test_multiplicative_over_wedge(self, rng):
@@ -285,21 +285,12 @@ class TestMultivector:
 class TestLinearMapPredicates:
     def test_shear_is_unipotent(self):
         g = shear(4, 3, 1, 5)
-        assert g.is_invertible
+        assert is_invertible(g)
+        assert compose(g, shear(4, 3, 1, -5)) == identity(4)
 
     def test_diagonal(self):
-        assert LinearMap.diagonal([1, 2, 3]).is_invertible
-        assert not LinearMap.diagonal([1, 0, 3]).is_invertible
-
-    def test_inverse_roundtrip(self, rng):
-        for _ in range(10):
-            n = rng.randint(2, 4)
-            g = random_invertible(rng, n)
-            assert compose(g, g.inverse()) == identity(n)
-
-    def test_singular_inverse(self):
-        with pytest.raises(ValueError):
-            LinearMap([[1, 1], [1, 1]]).inverse()
+        assert is_invertible(diagonal([1, 2, 3]))
+        assert not is_invertible(diagonal([1, 0, 3]))
 
     def test_weight_diagonal_entries(self):
         g = weight_diagonal(3, 2)
@@ -333,7 +324,7 @@ class TestTextForm:
 
     def test_scalar_term(self):
         x = parse_multivector("3/2", 3)
-        assert x.coefficient(()) == Fraction(3, 2)
+        assert x.terms == {(): Fraction(3, 2)}
         assert format_multivector(x) == "3/2"
 
 
@@ -349,7 +340,7 @@ class TestFloatsRejected:
             shear(2, 1, 2, 0.5)
 
     def test_exact_values_still_accepted(self):
-        assert Multivector(2, {(1,): Fraction(1, 10)}).coefficient((1,)) == Fraction(1, 10)
+        assert Multivector(2, {(1,): Fraction(1, 10)}).terms == {(1,): Fraction(1, 10)}
         assert LinearMap([[1, 0], [Fraction(1, 2), 1]]).entry(2, 1) == Fraction(1, 2)
 
 

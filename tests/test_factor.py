@@ -1,13 +1,17 @@
 """Linear factors, cofactor extraction and annihilators."""
 
+import functools
 import itertools
+import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from wedgeshift import (
     BudgetExceededError,
     HomogeneityError,
+    LinearMap,
     MonomialOrder,
     Multivector,
     apply_linear,
@@ -16,13 +20,16 @@ from wedgeshift import (
     ekr_bound,
     extract_cofactor,
     factor_report,
+    format_multivector,
     linear_factors,
     self_annihilating,
     span,
     star_family,
     wedge,
 )
-from wedgeshift.sampling import random_invertible, random_multivector, random_upper_triangular
+from oracles import apply_map, contains, intersect
+from samplers import random_upper_triangular
+from wedgeshift.sampling import random_invertible, random_multivector, random_rational
 
 
 def monomial_span(n, k, sets):
@@ -63,7 +70,7 @@ class TestLinearFactors:
             v = random_multivector(rng, 4, 2)
             g = random_invertible(rng, 4)
             left = linear_factors(apply_linear(g, v))
-            right = linear_factors(v).apply_map(lambda x: apply_linear(g, x))
+            right = apply_map(linear_factors(v), lambda x: apply_linear(g, x))
             assert left == right
 
 
@@ -96,7 +103,7 @@ class TestExtractCofactor:
             if v.is_zero:
                 continue
             trials += 1
-            assert linear_factors(v).contains(a)
+            assert contains(linear_factors(v), a)
             assert wedge(a, extract_cofactor(v, a)) == v
 
     def test_converse_every_factor_extracts(self, rng):
@@ -105,6 +112,48 @@ class TestExtractCofactor:
             for a in linear_factors(v).rows:
                 w = extract_cofactor(v, a)
                 assert wedge(a, w) == v
+
+
+def change_of_basis_cofactor(v, a):
+    """Reference cofactor by a change of basis: g is the identity with column p
+    (a's first nonzero index) replaced by a, inverted in closed form.  In g's
+    basis every term of v carries e_p; strip it and map back by g."""
+    n = v.n
+    p = min(a.terms)[0]
+    ap = a.terms[(p,)]
+    g = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    g_inv = [row[:] for row in g]
+    for r in range(n):
+        g[r][p - 1] = a.terms.get((r + 1,), Fraction(0))
+        g_inv[r][p - 1] = 1 / ap if r == p - 1 else -a.terms.get((r + 1,), Fraction(0)) / ap
+    u = apply_linear(LinearMap(g_inv), v)
+    stripped = {}
+    for sup, c in u.terms.items():
+        assert p in sup
+        rest = tuple(x for x in sup if x != p)
+        stripped[rest] = -c if sum(x < p for x in rest) % 2 else c
+    return apply_linear(LinearMap(g), Multivector(n, stripped))
+
+
+class TestContractionCofactor:
+    def test_matches_change_of_basis(self):
+        rng = random.Random(4040)
+        pairs = 0
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            k = rng.randint(1, min(4, n))
+            v = functools.reduce(wedge, [random_multivector(rng, n, 1) for _ in range(k)])
+            if v.is_zero:
+                continue
+            for a in linear_factors(v).rows:
+                for b in (a, a.scale(random_rational(rng, nonzero=True))):
+                    w = extract_cofactor(v, b)
+                    ref = change_of_basis_cofactor(v, b)
+                    assert w == ref and format_multivector(w) == format_multivector(ref)
+                    p = min(b.terms)[0]
+                    assert all(p not in sup for sup in w.terms)
+                    pairs += 1
+        assert pairs > 500
 
 
 class TestDecomposability:
@@ -140,7 +189,7 @@ class TestCommonAnnihilator:
             # an invertible upper-triangular image keeps the dimension
             for _ in range(3):
                 g = random_upper_triangular(rng, 6)
-                image = V.apply_map(lambda x: apply_linear(g, x))
+                image = apply_map(V, lambda x: apply_linear(g, x))
                 assert common_annihilator(image).dim == dim
 
     def test_zero_subspace_fully_annihilated(self):
@@ -153,7 +202,7 @@ class TestCommonAnnihilator:
 
         for _ in range(10):
             V = random_subspace(rng, order, 2)
-            expected = linear_factors(V.rows[0]).intersect(linear_factors(V.rows[1]))
+            expected = intersect(linear_factors(V.rows[0]), linear_factors(V.rows[1]))
             assert common_annihilator(V) == expected
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from wedgeshift.linalg import column_kernel, det, inverse, rref
+from wedgeshift import LinearMap
+from wedgeshift.linalg import column_kernel, rref
+from wedgeshift.sampling import random_invertible, random_rational
 
 sympy = pytest.importorskip("sympy")
 
@@ -82,7 +84,7 @@ CASES = [(shape, seed) for shape in SHAPES for seed in SEEDS]
 def test_rref_matches_sympy(shape, seed):
     rows = random_matrix(random.Random(seed), shape)
     ncols = SHAPES[shape][1]
-    reduced, pivots, _ = rref(sparse(rows))
+    reduced, pivots = rref(sparse(rows))
     expected, expected_pivots = to_sympy(rows, ncols).rref()
     assert pivots == list(expected_pivots)
     assert dense(reduced, ncols) == [[from_sympy(expected[r, c]) for c in range(ncols)]
@@ -104,23 +106,25 @@ def test_kernels_match_sympy(shape, seed):
 @pytest.mark.parametrize("shape,seed", [(s, seed) for s, seed in CASES
                                         if SHAPES[s][0] == SHAPES[s][1]])
 def test_det_and_inverse_match_sympy(shape, seed):
+    """Elimination finds n pivots exactly when sympy's determinant is nonzero
+    (the invertibility test of random_invertible), and reducing [A | I]
+    leaves sympy's inverse in the right block."""
     rows = random_matrix(random.Random(seed), shape)
     n = len(rows)
     M = to_sympy(rows, n)
-    assert det(rows) == from_sympy(M.det())
-    if M.det() == 0:
-        with pytest.raises(ValueError, match="singular"):
-            inverse(rows)
-    else:
+    aug = [{**dict(enumerate(row)), n + r: Fraction(1)} for r, row in enumerate(rows)]
+    reduced, pivots = rref(aug)
+    invertible = M.det() != 0
+    assert (len(rref(sparse(rows))[1]) == n) == invertible
+    assert (pivots == list(range(n))) == invertible
+    if invertible:
         expected = M.inv()
-        assert inverse(rows) == [[from_sympy(expected[r, c]) for c in range(n)]
-                                 for r in range(n)]
+        assert [[row.get(n + c, Fraction(0)) for c in range(n)] for row in reduced] == [
+            [from_sympy(expected[r, c]) for c in range(n)] for r in range(n)]
 
 
 def test_empty_matrices():
-    assert rref([]) == ([], [], Fraction(1))
-    assert det([]) == 1
-    assert inverse([]) == []
+    assert rref([]) == ([], [])
     assert nullspace([], 0) == column_kernel([]) == []
     # no rows, or columns touching nothing: the whole space
     identity = [[Fraction(int(r == c)) for c in range(3)] for r in range(3)]
@@ -129,6 +133,20 @@ def test_empty_matrices():
     assert same_span(identity, sympy.zeros(0, 3).nullspace(), 3)
 
 
-def test_factor_is_determinant_with_row_swaps():
-    rows = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]
-    assert rref(sparse(rows))[2] == det(rows) == -6
+def sympy_invertible(rng, n, attempts=100):
+    """random_invertible's rejection loop, deciding invertibility by sympy's
+    determinant: the same draws in the same sequence."""
+    for _ in range(attempts):
+        rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        if to_sympy(rows, n).det() != 0:
+            return LinearMap(rows)
+    raise RuntimeError("failed to sample an invertible map")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_random_invertible_keeps_its_draws(n):
+    # pins the maps behind the seeded benchmark inputs
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert random_invertible(rng, n) == sympy_invertible(ref, n)
+        assert rng.random() == ref.random()

@@ -26,7 +26,7 @@ SHAPES = [(4, 2), (5, 2), (5, 3)]
 
 
 def dense(row, supports):
-    return [sympy.Rational(c.numerator, c.denominator) for c in map(row.coefficient, supports)]
+    return [sympy.Rational(c.numerator, c.denominator) for c in (row.terms.get(s, Fraction(0)) for s in supports)]
 
 
 def normalized(order, values):

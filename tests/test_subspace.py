@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from linear_maps import shear
+from linear_maps import diagonal, is_invertible, shear
+from oracles import apply_map, intersect
 from wedgeshift import (
     BudgetExceededError,
     GroundMismatchError,
@@ -75,10 +76,10 @@ class TestSpan:
             idx = [order.key(p) for p in V.pivots()]
             assert idx == sorted(idx)
             for row, piv in zip(V.rows, V.pivots()):
-                assert row.coefficient(piv) == 1
+                assert row.terms[piv] == 1
                 for other in V.rows:
                     if other is not row:
-                        assert other.coefficient(piv) == 0
+                        assert piv not in other.terms
 
 
 def _canonical_cases(st):
@@ -113,8 +114,8 @@ class TestCanonicalForm:
             keys = [order.key(p) for p in V.pivots()]
             assert keys == sorted(set(keys))
             for row, piv in zip(V.rows, V.pivots()):
-                assert min(row.terms, key=order.key) == piv and row.coefficient(piv) == 1
-                assert all(other.coefficient(piv) == 0 for other in V.rows if other is not row)
+                assert min(row.terms, key=order.key) == piv and row.terms[piv] == 1
+                assert all(piv not in other.terms for other in V.rows if other is not row)
             combined = [sum((v.scale(c) for v, c in zip(vecs, cs)), Multivector.zero(order.n))
                         for cs in combos]
             for spanning in ([vecs[i] for i in perm],
@@ -151,8 +152,8 @@ class TestNoCoordinateTable:
                           Multivector.monomial(n, tuple(range(2, 17)))],
                          [mixed, Multivector.monomial(n, high), mixed.scale(3)]):
                 V = Subspace(order, vecs)
-                assert V.contains(vecs[0])
-                assert not V.contains(Multivector.monomial(n, low[1:] + (30,)))
+                assert not V._residue(vecs[0])
+                assert V._residue(Multivector.monomial(n, low[1:] + (30,)))
                 W = limit_shift(V, (30, 1))
                 assert W.dim == V.dim and W != V
 
@@ -160,45 +161,45 @@ class TestNoCoordinateTable:
 
 
 class TestContains:
+    """x lies in V exactly when its residue against the canonical rows vanishes."""
+
     def test_scaled_member(self, mv):
-        assert span([mv(3, "e1^e2")]).contains(mv(3, "3*e1^e2"))
+        assert not span([mv(3, "e1^e2")])._residue(mv(3, "3*e1^e2"))
 
     def test_non_member(self, mv):
-        assert not span([mv(3, "e1^e2")]).contains(mv(3, "e1^e3"))
+        assert span([mv(3, "e1^e2")])._residue(mv(3, "e1^e3")) == {(1, 3): 1}
 
     def test_reduction(self, mv):
         V = span([mv(3, "e1^e2 + e2^e3"), mv(3, "e2^e3")])
-        assert V.contains(mv(3, "e1^e2"))
+        assert not V._residue(mv(3, "e1^e2"))
 
     def test_zero_member(self, mv):
-        assert span([mv(3, "e1^e2")]).contains(Multivector.zero(3))
-
-    def test_grade_mismatch(self, mv):
-        with pytest.raises(GroundMismatchError):
-            span([mv(3, "e1^e2")]).contains(mv(3, "e1"))
+        assert not span([mv(3, "e1^e2")])._residue(Multivector.zero(3))
 
 
 class TestSumIntersect:
+    """Spans of joined rows, and the intersection oracle the factor tests rely on."""
+
     def test_intersection_example(self, mv):
         V = span([mv(3, "e1^e2"), mv(3, "e1^e3")])
         W = span([mv(3, "e1^e2"), mv(3, "e2^e3")])
-        assert V.intersect(W) == span([mv(3, "e1^e2")])
+        assert intersect(V, W) == span([mv(3, "e1^e2")])
 
     def test_sum_idempotent(self, mv):
         V = span([mv(3, "e1^e2 + e2^e3")])
-        assert V.sum(V) == V
+        assert Subspace(V.order, V.rows + V.rows) == V
 
     def test_intersect_with_zero(self, mv):
         V = span([mv(3, "e1^e2")])
         Z = span([], V.order)
-        assert V.intersect(Z).is_zero
+        assert intersect(V, Z).is_zero
 
     def test_grassmann_dimension_formula(self, rng):
         order = MonomialOrder("lex", 4, 2)
         for _ in range(25):
             V = random_subspace(rng, order, rng.randint(1, 3))
             W = random_subspace(rng, order, rng.randint(1, 3))
-            assert V.sum(W).dim + V.intersect(W).dim == V.dim + W.dim
+            assert Subspace(order, V.rows + W.rows).dim + intersect(V, W).dim == V.dim + W.dim
 
     def test_intersect_against_sympy_ranks(self, rng):
         sympy = pytest.importorskip("sympy")
@@ -208,7 +209,7 @@ class TestSumIntersect:
                 return 0
             return sympy.Matrix([
                 [sympy.Rational(c.numerator, c.denominator)
-                 for c in (r.coefficient(s) for s in supports)]
+                 for c in (r.terms.get(s, Fraction(0)) for s in supports)]
                 for r in rows
             ]).rank()
 
@@ -222,7 +223,7 @@ class TestSumIntersect:
                 shared = [r for r in V.rows if rng.random() < 0.5]
                 extra = [random_multivector(rng, n, k) for _ in range(rng.randint(0, 3))]
                 W = span(shared + extra, order)
-                meet = V.intersect(W)
+                meet = intersect(V, W)
                 assert rank(V.rows, supports) == V.dim and rank(W.rows, supports) == W.dim
                 assert meet.dim == V.dim + W.dim - rank(V.rows + W.rows, supports)
                 for x in meet.rows:
@@ -231,37 +232,28 @@ class TestSumIntersect:
                 hits += meet.dim > 0
         assert hits
 
-    def test_intersect_contained_space_is_itself(self, mv):
-        V = span([mv(3, "e1^e2")])
-        W = span([mv(3, "e1^e2"), mv(3, "e2^e3")])
-        assert V.intersect(W) is V
-
-    def test_order_mismatch(self, mv):
-        V = span([mv(3, "e1^e2")], MonomialOrder("lex", 3, 2))
-        W = span([mv(3, "e1^e2")], MonomialOrder("weight2", 3, 2))
-        with pytest.raises(GroundMismatchError):
-            V.sum(W)
-
 
 class TestApplyMap:
+    """Spans of the images of the canonical rows."""
+
     def test_identity(self, rng):
         order = MonomialOrder("lex", 4, 2)
         V = random_subspace(rng, order, 2)
-        assert V.apply_map(lambda x: x) == V
+        assert apply_map(V, lambda x: x) == V
 
     def test_shear_image(self, mv):
         g = shear(3, 2, 1, 1)
         V = span([mv(3, "e2^e3")])
-        assert V.apply_map(lambda x: apply_linear(g, x)) == span([mv(3, "e1^e3 + e2^e3")])
+        assert apply_map(V, lambda x: apply_linear(g, x)) == span([mv(3, "e1^e3 + e2^e3")])
 
     def test_zero_map(self, mv):
         V = span([mv(3, "e2^e3")])
-        assert V.apply_map(lambda x: Multivector.zero(3)).is_zero
+        assert apply_map(V, lambda x: Multivector.zero(3)).is_zero
 
     def test_inhomogeneous_output_rejected(self, mv):
         V = span([mv(3, "e2^e3")])
         with pytest.raises(HomogeneityError):
-            V.apply_map(lambda x: mv(3, "e1"))
+            apply_map(V, lambda x: mv(3, "e1"))
 
 
 class TestMonomialBasis:
@@ -282,10 +274,11 @@ class TestMonomialBasis:
         for _ in range(20):
             V = random_subspace(rng, order, rng.randint(1, 3))
             fixed = all(
-                V.apply_map(
-                    lambda x, g=LinearMap.diagonal(
+                apply_map(
+                    V,
+                    lambda x, g=diagonal(
                         [random_rational(rng, nonzero=True) for _ in range(4)]
-                    ): apply_linear(g, x)
+                    ): apply_linear(g, x),
                 ) == V
                 for _ in range(6)
             )
@@ -321,9 +314,7 @@ class TestPluecker:
 
     def test_two_term_row(self, mv):
         P = span([mv(3, "e1^e2 + e2^e3")]).pluecker()
-        assert P.coordinate([(1, 2)]) == 1
-        assert P.coordinate([(2, 3)]) == 1
-        assert P.coordinate([(1, 3)]) == 0
+        assert dict(P.items) == {((1, 2),): 1, ((2, 3),): 1}
 
     def test_monomial_pair(self, mv):
         P = span([mv(3, "e1^e2"), mv(3, "e2^e3")]).pluecker()
@@ -341,7 +332,7 @@ class TestPluecker:
             # recombine the rows by a random invertible coefficient matrix
             while True:
                 coeffs = [[random_rational(rng) for _ in range(m)] for _ in range(m)]
-                if LinearMap(coeffs).is_invertible if m > 0 else True:
+                if is_invertible(LinearMap(coeffs)) if m > 0 else True:
                     break
             new_rows = []
             for r in range(m):
