@@ -93,7 +93,8 @@ def build_parser() -> _Parser:
     p.add_argument("--order", choices=["lex", "weight2"])
 
     p = sub.add_parser("factor", help="linear factors of a multivector literal")
-    p.add_argument("input")
+    p.add_argument("input", help="multivector literal; put -- before one that starts with "
+                                 "a minus sign: factor --n 2 -- \"-1/2*e2\"")
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("annihilator", help="common annihilator of a subspace")

@@ -15,7 +15,7 @@ from math import comb
 from typing import Optional
 
 from .errors import FalsificationError
-from .exterior import wedge
+from .exterior import integer_terms, wedge_core
 from .families import (
     DEFAULT_BUDGET,
     SetFamily,
@@ -70,16 +70,19 @@ def self_annihilating(V: Subspace, s: int = 2) -> bool:
 
     All multisets of rows are checked (the diagonal included, which is
     automatic for odd grade); by multilinearity this settles the condition
-    for the whole subspace."""
+    for the whole subspace.  Each row is scaled to integers once, and every
+    product is taken in full by the integer wedge core: scaling a factor
+    does not change whether a product vanishes."""
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
-    for combo in itertools.combinations_with_replacement(V.rows, s):
+    rows = [integer_terms(r)[0] for r in V.rows]
+    for combo in itertools.combinations_with_replacement(rows, s):
         acc = combo[0]
         for x in combo[1:]:
-            acc = wedge(acc, x)
-            if acc.is_zero:
+            acc = wedge_core(V.n, acc, x)
+            if not acc:
                 break
-        if not acc.is_zero:
+        if acc:
             return False
     return True
 

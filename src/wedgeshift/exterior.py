@@ -3,9 +3,14 @@
 Monomials are wedges of distinct 1-based basis vectors stored with sorted
 support; multivectors are sparse rational combinations of monomials over a
 fixed ground dimension; square rational matrices act on grade one and extend
-multiplicatively to every graded component.  No floating point anywhere.  The
-wedge product visits only the disjoint partner supports of each term and adds
-up integer numerators over one common denominator.
+multiplicatively to every graded component.  No floating point anywhere.
+
+The wedge product has one integer core.  ``integer_terms`` scales an operand
+once to integers over its common denominator; ``wedge_core`` multiplies two
+such integer term maps, visiting only the disjoint partner supports of each
+term.  ``wedge`` is scale, core, then one Fraction per output term; loops
+that reuse an operand (self-annihilation, annihilators, the Plücker limit)
+scale it once and stay in integers.
 
 The canonical text form orders terms by lexicographic support and writes each
 as ``c*e{i}^e{j}...`` with unit coefficients omitted, e.g.
@@ -192,31 +197,27 @@ def _partners(n: int, sx: Support, g: int) -> tuple[tuple[Support, Support, int]
     )
 
 
-def wedge(x: Multivector, y: Multivector) -> Multivector:
-    """Exterior product, extended bilinearly from the merge-parity monomial rule.
+def integer_terms(x: Multivector, d: Optional[int] = None) -> tuple[dict[Support, int], int]:
+    """x's terms times d as integers, with d: by default the least common
+    denominator of x's coefficients; a given d must be a multiple of it."""
+    if d is None:
+        d = lcm(*(c.denominator for c in x._terms.values()))
+    return {s: c.numerator * (d // c.denominator) for s, c in x._terms.items()}, d
 
-    Monomials with intersecting supports multiply to zero; otherwise the
-    product is the monomial on the union with the sign of the permutation
-    that sorts the concatenated index sequence.
 
-    Both factors are scaled to integers over a common denominator once, so the
-    products add up as integers and each output term is one Fraction.  For
-    each support of x and each grade of y, the shorter candidate list is
+def wedge_core(n: int, x: Mapping[Support, int], y: Mapping[Support, int]) -> dict[Support, int]:
+    """Exterior product of integer term maps over ground dimension n, zeros dropped.
+
+    For each support of x and each grade of y, the shorter candidate list is
     walked: y's terms of that grade, or the table of every disjoint support of
     that grade.  A table is built only when it is shorter than y's terms of
     that grade, so no table outgrows a multivector the caller already holds.
     """
-    if x.n != y.n:
-        raise GroundMismatchError(f"ground dimensions differ: {x.n} vs {y.n}")
-    n = x.n
-    a = lcm(*(c.denominator for c in x._terms.values()))
-    b = lcm(*(c.denominator for c in y._terms.values()))
     by_grade: dict[int, dict[Support, int]] = {}
-    for sy, c in y._terms.items():
-        by_grade.setdefault(len(sy), {})[sy] = c.numerator * (b // c.denominator)
+    for sy, cy in y.items():
+        by_grade.setdefault(len(sy), {})[sy] = cy
     acc: dict[Support, int] = {}
-    for sx, c in x._terms.items():
-        cx = c.numerator * (a // c.denominator)
+    for sx, cx in x.items():
         free = n - len(sx)
         for g, ys in by_grade.items():
             if comb(free, g) < len(ys):
@@ -230,8 +231,29 @@ def wedge(x: Multivector, y: Multivector) -> Multivector:
                     if setx.isdisjoint(sy):
                         sup = tuple(sorted(sx + sy))
                         acc[sup] = acc.get(sup, 0) + merge_sign(sx, sy) * cx * cy
+    return {sup: v for sup, v in acc.items() if v}
+
+
+def wedge(x: Multivector, y: Multivector) -> Multivector:
+    """Exterior product, extended bilinearly from the merge-parity monomial rule.
+
+    Monomials with intersecting supports multiply to zero; otherwise the
+    product is the monomial on the union with the sign of the permutation
+    that sorts the concatenated index sequence.
+
+    Each factor is scaled to integers over its own common denominator
+    (``integer_terms``), ``wedge_core`` multiplies the integers, and each
+    output term is one Fraction over the product of the two denominators.
+    Loops that wedge the same operand many times scale it once and call the
+    core themselves.
+    """
+    if x.n != y.n:
+        raise GroundMismatchError(f"ground dimensions differ: {x.n} vs {y.n}")
+    xs, a = integer_terms(x)
+    ys, b = integer_terms(y)
     d = a * b
-    return Multivector._trusted(n, {sup: Fraction(v, d) for sup, v in acc.items() if v})
+    product = wedge_core(x.n, xs, ys)
+    return Multivector._trusted(x.n, {sup: Fraction(v, d) for sup, v in product.items()})
 
 
 class LinearMap:

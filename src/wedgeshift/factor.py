@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import BudgetExceededError, FalsificationError, HomogeneityError
-from .exterior import Multivector, wedge
+from .exterior import Multivector, integer_terms, wedge, wedge_core
 from .ekr import self_annihilating
 from .linalg import column_kernel
 from .subspace import _SIZE_CAP, MonomialOrder, Subspace, span
@@ -25,13 +25,16 @@ from .subspace import _SIZE_CAP, MonomialOrder, Subspace, span
 def _annihilator(n: int, vectors) -> Subspace:
     """Grade-one elements a with a wedge v = 0 for every given v: the kernel of
     the columns e_i -> (e_i wedge v for each v), keyed by (position of v, support).
+    Each v is scaled to integers once and the columns hold the integer wedges:
+    scaling the block of rows of one v leaves the kernel unchanged.
     No vectors, or grade n, leave every column empty and the whole space."""
+    scaled = [integer_terms(v)[0] for v in vectors]
     columns = []
     for i in range(1, n + 1):
-        e = Multivector.basis(n, i)
+        e = {(i,): 1}
         col: dict = {}
-        for pos, v in enumerate(vectors):
-            for sup, c in wedge(e, v).terms.items():
+        for pos, v in enumerate(scaled):
+            for sup, c in wedge_core(n, e, v).items():
                 col[(pos, sup)] = c
         columns.append(col)
     kernel = [

@@ -20,7 +20,7 @@ from math import comb
 from typing import Optional, Union
 
 from .errors import FalsificationError, IterationLimitError
-from .exterior import Multivector, wedge
+from .exterior import Multivector, integer_terms, wedge_core
 from .families import ShiftPair, _check_pair, is_shifted
 from .subspace import PlueckerVector, Subspace, _check_pluecker_size, _lift, _pluecker_vector
 
@@ -84,7 +84,13 @@ def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
     x.  The wedge of the rows r + t*x is a polynomial in t whose coefficients
     are wedges of grade m, and the coefficient of the top power present is
     the limit point.  Must agree with the Plücker vector of limit_shift
-    projectively."""
+    projectively.
+
+    The coefficients stay integer maps from the integer wedge core.  Each
+    lifted r and its image x are scaled by the same integer, r's common
+    denominator, which clears x too: x's coefficients are a signed subset of
+    r's.  Every coefficient then carries the same overall factor, which the
+    projective normalization divides out."""
     p = _as_pair(pair, V.n)
     m = V.dim
     if m == 0:
@@ -92,16 +98,25 @@ def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
     _check_pluecker_size(comb(comb(V.n, V.k), m))
     rows = list(V.rows)
     columns, lifted = _lift(V.order, rows + [shift_map(r, p) for r in rows])
-    zero = Multivector.zero(len(columns))
+    ncols = len(columns)
     # by_degree[d] is the coefficient of t^d in the wedge of the rows so far
-    by_degree = [Multivector(len(columns), {(): 1})]
+    by_degree: list[dict] = [{(): 1}]
     for r, x in zip(lifted[:m], lifted[m:]):
-        by_degree = [
-            wedge(same, r) + wedge(lower, x)
-            for same, lower in zip(by_degree + [zero], [zero] + by_degree)
-        ]
-    top = max(d for d, c in enumerate(by_degree) if not c.is_zero)
-    return _pluecker_vector(V.order, columns, by_degree[top])
+        rs, d = integer_terms(r)
+        xs = integer_terms(x, d)[0]
+        step = [wedge_core(ncols, same, rs) for same in by_degree] + [{}]
+        for deg, lower in enumerate(by_degree, 1):
+            acc = step[deg]
+            for sup, v in wedge_core(ncols, lower, xs).items():
+                v += acc.get(sup, 0)
+                if v:
+                    acc[sup] = v
+                else:
+                    del acc[sup]
+        by_degree = step
+    top = max(deg for deg, c in enumerate(by_degree) if c)
+    product = Multivector._trusted(ncols, {sup: Fraction(v) for sup, v in by_degree[top].items()})
+    return _pluecker_vector(V.order, columns, product)
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,12 @@ class TestSmallVerbs:
         assert code == 3 and out == "" and "size cap" in err
         assert len(err.splitlines()) == 1 and len(err) < 100
 
+    def test_factor_literal_with_leading_minus(self, capsys):
+        code, out, err = run(capsys, "factor", "--n", "2", "--", "-1/2*e2")
+        report = json.loads(out)
+        assert code == 0 and err == ""
+        assert report["factors"] == ["e2"] and report["cofactors"] == ["-1/2"]
+
     def test_factor_zero_denominator(self, capsys):
         code, out, err = run(capsys, "factor", "1/0*e1", "--n", "2")
         assert code == 1 and out == "" and "zero denominator" in err

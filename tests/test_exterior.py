@@ -1,9 +1,11 @@
 """Multivectors, the wedge product, and extended matrix actions."""
 
+import functools
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
@@ -13,14 +15,18 @@ from wedgeshift import (
     GroundMismatchError,
     HomogeneityError,
     LinearMap,
+    MonomialOrder,
     Multivector,
     ParseError,
+    Subspace,
     apply_linear,
     format_multivector,
     merge_sign,
     parse_multivector,
+    self_annihilating,
     wedge,
 )
+from wedgeshift.exterior import integer_terms, wedge_core
 from linear_maps import compose, diagonal, identity, is_invertible, shear, weight_diagonal
 from wedgeshift.sampling import (
     random_invertible,
@@ -217,6 +223,135 @@ class TestWedgeProperties:
             assert apply_linear(g, wedge(x, y)) == wedge(apply_linear(g, x), apply_linear(g, y))
 
         _given(cases, check)
+
+
+def parent_wedge(x, y):
+    """The wedge as one function, before the integer core was split out:
+    both factors are rescaled on every call.  Kept as the reference of the
+    differential tests of the core."""
+    if x.n != y.n:
+        raise GroundMismatchError(f"ground dimensions differ: {x.n} vs {y.n}")
+    n = x.n
+    a = lcm(*(c.denominator for c in x.terms.values()))
+    b = lcm(*(c.denominator for c in y.terms.values()))
+    by_grade = {}
+    for sy, c in y.terms.items():
+        by_grade.setdefault(len(sy), {})[sy] = c.numerator * (b // c.denominator)
+    acc = {}
+    for sx, c in x.terms.items():
+        cx = c.numerator * (a // c.denominator)
+        free = n - len(sx)
+        for g, ys in by_grade.items():
+            if comb(free, g) < len(ys):
+                for sy, sup, sign in exterior._partners(n, sx, g):
+                    cy = ys.get(sy)
+                    if cy is not None:
+                        acc[sup] = acc.get(sup, 0) + sign * cx * cy
+            else:
+                setx = set(sx)
+                for sy, cy in ys.items():
+                    if setx.isdisjoint(sy):
+                        sup = tuple(sorted(sx + sy))
+                        acc[sup] = acc.get(sup, 0) + merge_sign(sx, sy) * cx * cy
+    d = a * b
+    return Multivector(n, {sup: Fraction(v, d) for sup, v in acc.items() if v})
+
+
+# Large primes: coefficients over them have pairwise coprime denominators.
+_PRIMES = (1009, 10007, 100003, 1000003, 10000019, 2**31 - 1, 2**61 - 1)
+
+
+def _coprime(rng, n, grades, density):
+    """Random combination whose denominators are large, distinct primes."""
+    supports = [s for g in grades for s in itertools.combinations(range(1, n + 1), g)
+                if rng.random() < density]
+    primes = rng.sample(_PRIMES, min(len(supports), len(_PRIMES)))
+    return Multivector(n, {
+        s: Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**12), primes[i % len(primes)])
+        for i, s in enumerate(supports)
+    })
+
+
+def _core_cases(rng):
+    yield from _differential_cases(rng)
+    for n in range(1, 8):
+        grades = range(n + 1)
+        for _ in range(8):
+            x = _coprime(rng, n, rng.sample(grades, rng.randint(1, min(3, n + 1))), rng.random())
+            y = _coprime(rng, n, rng.sample(grades, rng.randint(1, min(3, n + 1))), rng.random())
+            yield x, y
+            yield x, _mixed(rng, n, grades, 0.5)
+        yield Multivector.zero(n), Multivector.zero(n)
+
+
+class TestIntegerCore:
+    def test_integer_terms_scale_by_the_common_denominator(self):
+        x = Multivector(3, {(): Fraction(1, 6), (1,): Fraction(-3, 4), (1, 3): 2})
+        assert integer_terms(x) == ({(): 2, (1,): -9, (1, 3): 24}, 12)
+        assert integer_terms(x, 24) == ({(): 4, (1,): -18, (1, 3): 48}, 24)
+        assert integer_terms(Multivector.zero(3)) == ({}, 1)
+
+    def test_core_drops_cancelled_terms(self):
+        # (e1 + e2) ^ (e1 + e2): the two products of e1^e2 cancel
+        v = {(1,): 1, (2,): 1}
+        assert wedge_core(2, v, v) == {}
+        assert wedge_core(3, {(): 5}, {(2,): -2}) == {(2,): -10}
+
+    def test_matches_parent_wedge(self):
+        rng = random.Random(1212)
+        coprime = 0
+        for x, y in _core_cases(rng):
+            got, ref = wedge(x, y), parent_wedge(x, y)
+            assert got == ref and format_multivector(got) == format_multivector(ref), (x, y)
+            assert all(type(c) is Fraction for c in got.terms.values())
+            coprime += any(c.denominator > 10**6 for c in got.terms.values())
+        assert coprime > 50
+
+
+def reference_self_annihilating(V, s):
+    """Every s-fold product of canonical rows, taken in full by parent_wedge."""
+    return all(
+        functools.reduce(parent_wedge, combo).is_zero
+        for combo in itertools.combinations_with_replacement(V.rows, s)
+    )
+
+
+class TestSelfAnnihilatingDifferential:
+    def test_matches_parent_wedge(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        outcomes = set()
+
+        @st.composite
+        def subspaces(draw):
+            n = draw(st.integers(2, 6))
+            k = draw(st.integers(1, n))
+            kind = draw(st.sampled_from(("lex", "weight2")))
+            supports = list(itertools.combinations(range(1, n + 1), k))
+            if draw(st.booleans()):  # every product of such rows repeats e1
+                supports = [s for s in supports if 1 in s]
+            m = draw(st.integers(1, 4))
+            rows = draw(st.lists(st.lists(_coefficients(st), min_size=len(supports),
+                                          max_size=len(supports)), min_size=m, max_size=m))
+            return Subspace(MonomialOrder(kind, n, k),
+                            [Multivector(n, dict(zip(supports, row))) for row in rows])
+
+        def monomials(*sets):
+            return Subspace(MonomialOrder("lex", 6, 2), [Multivector.monomial(6, s) for s in sets])
+
+        # explicit examples pin all four outcomes; the drawn ones vary by run
+        @hypothesis.settings(max_examples=80, deadline=None, database=None)
+        @hypothesis.given(subspaces())
+        @hypothesis.example(monomials((1, 2), (1, 3), (1, 4)))
+        @hypothesis.example(monomials((1, 2), (3, 4), (5, 6)))
+        def check(V):
+            for s in (2, 3):
+                got = self_annihilating(V, s)
+                assert got == reference_self_annihilating(V, s), (V, s)
+                outcomes.add((s, got))
+
+        check()
+        assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
 
 
 class TestApplyLinear:

@@ -1,13 +1,16 @@
 """Shear limits, initial degenerations, fixed-point drives, and their oracles."""
 
 import itertools
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from linear_maps import shear, weight_diagonal
+from test_exterior import parent_wedge
 from oracles import apply_map
 from samplers import random_intersecting_family, random_upper_triangular
 from wedgeshift import (
@@ -31,7 +34,8 @@ from wedgeshift import (
     star_family,
     triangular_fixed_point,
 )
-from wedgeshift.sampling import random_invertible, random_subspace
+from wedgeshift.sampling import random_invertible, random_rational, random_subspace
+from wedgeshift.subspace import _lift, _pluecker_vector
 
 
 def monomial_span(n, k, sets, kind="lex"):
@@ -387,6 +391,86 @@ class TestPlueckerLimit:
                 V = monomial_span(3, 2, list(sets))
                 for p in all_pairs(3):
                     assert pluecker_limit(V, p) == limit_shift(V, p).pluecker()
+
+
+def parent_pluecker_limit(V, p):
+    """pluecker_limit before the integer core: every power of t is a
+    Multivector of Fractions, built with parent_wedge and Multivector sums."""
+    m = V.dim
+    rows = list(V.rows)
+    columns, lifted = _lift(V.order, rows + [shift_map(r, p) for r in rows])
+    zero = Multivector.zero(len(columns))
+    by_degree = [Multivector(len(columns), {(): 1})]
+    for r, x in zip(lifted[:m], lifted[m:]):
+        by_degree = [
+            parent_wedge(same, r) + parent_wedge(lower, x)
+            for same, lower in zip(by_degree + [zero], [zero] + by_degree)
+        ]
+    top = max(d for d, c in enumerate(by_degree) if not c.is_zero)
+    return _pluecker_vector(V.order, columns, by_degree[top])
+
+
+def _denominator(x):
+    return lcm(*(c.denominator for c in x.terms.values()))
+
+
+def _rows_losing_their_largest_denominator(rng, order, m, p, shared=False):
+    """A subspace given by m rows already in canonical form, or None when no
+    such rows were found.  Each row has one coefficient over 97 on a support
+    the shear p drops (one without i, or with j) and denominators below 10
+    elsewhere, so 97 divides the row's common denominator but not its
+    image's.  With ``shared`` the pivots are dropped too and every row keeps
+    just one common support, so the images are proportional and the top
+    power of t sums over several rows: there, scaling an image apart from
+    its row changes the limit point."""
+    supports = sorted(itertools.combinations(range(1, order.n + 1), order.k), key=order.key)
+    dropped = {b for b, s in enumerate(supports) if p.i not in s or p.j in s}
+    for _ in range(100):
+        pivots = sorted(rng.sample(sorted(dropped) if shared else range(len(supports)), m))
+        later = [[b for b in range(a + 1, len(supports)) if b not in pivots] for a in pivots]
+        kept = [b for b in later[-1] if b not in dropped]
+        if all(dropped.intersection(bs) for bs in later) and (kept or not shared):
+            break
+    else:
+        return None
+    common = rng.choice(kept) if shared else None
+    rows = []
+    for a, bs in zip(pivots, later):
+        free = [b for b in bs if b in dropped] if shared else bs
+        terms = {supports[b]: random_rational(rng) for b in free if rng.random() < 0.4}
+        if shared:
+            terms[supports[common]] = random_rational(rng, nonzero=True)
+        terms[supports[a]] = 1
+        big = rng.choice([b for b in bs if b in dropped])
+        terms[supports[big]] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 96), 97)
+        rows.append(Multivector(order.n, terms))
+    V = Subspace(order, rows)
+    assert V.rows == tuple(rows)
+    return V
+
+
+class TestPlueckerLimitDifferential:
+    @pytest.mark.parametrize("kind", ["lex", "weight2"])
+    @pytest.mark.parametrize("n, k", [(5, 2), (6, 3)])
+    def test_matches_fraction_implementation(self, kind, n, k):
+        rng = random.Random(100 * n + k + (kind == "weight2"))
+        order = MonomialOrder(kind, n, k)
+        differ = proportional = 0
+        for p in decreasing_pairs(n):
+            for m in (1, 2, 3):
+                cases = [random_subspace(rng, order, m)] + [
+                    _rows_losing_their_largest_denominator(rng, order, m, p, shared)
+                    for shared in (False, False, True, True)
+                ]
+                proportional += m > 1 and cases[-1] is not None
+                for V in filter(None, cases):
+                    assert pluecker_limit(V, p) == parent_pluecker_limit(V, p), (V, p)
+                    images = [(r, shift_map(r, p)) for r in V.rows]
+                    differ += any(
+                        not x.is_zero and _denominator(x) != _denominator(r) for r, x in images
+                    )
+        assert differ >= 4 * len(decreasing_pairs(n))
+        assert proportional >= len(decreasing_pairs(n))
 
 
 class TestTriangularFixedPoint:
