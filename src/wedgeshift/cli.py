@@ -142,10 +142,10 @@ def _run_verify_family(args) -> int:
 def _run_pipeline(args) -> int:
     V = _need_subspace(parse_input(args.input), "pipeline")
     report = ekr_pipeline(V, route=args.route, identifier=args.input)
+    if args.trace:  # before any output, so a failed write leaves stdout empty
+        save_json(args.trace, report.certificate["steps"])
     print(f"dim {report.size} <= bound {report.bound}: "
           f"{'satisfied' if report.satisfied else 'VIOLATED'}")
-    if args.trace:
-        save_json(args.trace, report.certificate["steps"])
     _emit(report.record())
     if not report.satisfied:
         raise FalsificationError("bound violated")

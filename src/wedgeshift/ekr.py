@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .errors import FalsificationError
+from .errors import BudgetExceededError, FalsificationError
 from .exterior import integer_terms, wedge_core
 from .families import (
     DEFAULT_BUDGET,
@@ -27,6 +27,16 @@ from .families import (
 )
 from .limits import triangular_fixed_point
 from .subspace import Subspace
+
+
+# The shifted certificate nests one level per ground element on its deletion
+# chain; above this n, building or encoding it outgrows the recursion limit.
+MAX_CERT_N = 300
+
+
+def _check_cert_depth(n: int, k: int, size: int) -> None:
+    if size and k >= 2 and 2 * k < n and n > MAX_CERT_N:
+        raise BudgetExceededError(f"certificate depth cap n <= {MAX_CERT_N} exceeded: n={n}, k={k}")
 
 
 def ekr_bound(n: int, k: int) -> int:
@@ -135,6 +145,7 @@ def shifted_ekr_verify(F: SetFamily, identifier: Optional[str] = None) -> Verify
     n, k = F.n, F.k
     if not (1 <= k and 2 * k <= n):
         raise ValueError(f"verification needs k <= n/2, got n={n}, k={k}")
+    _check_cert_depth(n, k, F.size)
     if not is_shifted(F):
         raise ValueError("family is not shifted")
     if not is_intersecting(F):
@@ -163,6 +174,7 @@ def ekr_pipeline(
     n, k = V.n, V.k
     if not (1 <= k and 2 * k <= n):
         raise ValueError(f"pipeline needs 1 <= k <= n/2, got n={n}, k={k}")
+    _check_cert_depth(n, k, V.dim)
     if not self_annihilating(V):
         raise ValueError("subspace is not self-annihilating")
     result, trace = triangular_fixed_point(V, route=route)

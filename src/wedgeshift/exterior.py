@@ -14,7 +14,8 @@ scale it once and stay in integers.
 
 The canonical text form orders terms by lexicographic support and writes each
 as ``c*e{i}^e{j}...`` with unit coefficients omitted, e.g.
-``e1^e2^e3 - 1/2*e4^e5^e6``.
+``e1^e2^e3 - 1/2*e4^e5^e6``.  ``parse_multivector`` reads it, and looser text,
+in one pass: one full match and one Fraction per term, validated once.
 """
 
 from __future__ import annotations
@@ -314,10 +315,6 @@ def apply_linear(g: LinearMap, x: Multivector) -> Multivector:
     return acc
 
 
-_MONOMIAL_RE = re.compile(r"^e\d+(?:\^e\d+)*$")
-_COEFF_RE = re.compile(r"^\d+(?:/\d+)?$")
-
-
 def format_multivector(x: Multivector) -> str:
     """Canonical text form: lex-ordered supports, unit coefficients omitted."""
     if x.is_zero:
@@ -339,62 +336,51 @@ def format_multivector(x: Multivector) -> str:
     return "".join(parts)
 
 
-def _signed_chunks(text: str) -> list[tuple[int, str]]:
-    chunks: list[tuple[int, str]] = []
-    for raw in text.replace("-", "+-").split("+"):
-        body = raw.strip()
-        if not body:
-            continue
-        sign = 1
-        if body.startswith("-"):
-            sign = -1
-            body = body[1:].strip()
-        if not body:
-            raise ParseError(f"dangling sign in {text!r}")
-        chunks.append((sign, body))
-    return chunks
-
-
-def _parse_coefficient(text: str, term: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in term {term!r}") from None
+# Signed chunks between + and - signs; a term's numerator, denominator, "*"
+# or end of term, index run, and what is left over.
+_SIGNED_RE = re.compile(r"([+-]?)([^+-]*)")
+_TERM_RE = re.compile(r"(?:([0-9]+)(?:/([0-9]+))?(\*|\Z))?((?:e[0-9]+(?:\^e[0-9]+)*)?)(.*)", re.S)
 
 
 def parse_multivector(text: str, n: int) -> Multivector:
-    """Parse the canonical text form (unsorted index runs are normalized by parity)."""
+    """Read a sum of signed terms ``p``, ``p/q``, ``e<i>^e<j>...`` or ``p[/q]*e...``.
+
+    Digits are ASCII, spaces inside a term are ignored, an unsorted index run
+    is normalized by parity, and terms on one support add.  Faults, in order:
+    a dangling sign anywhere; then, term by term from the left, a bad
+    coefficient, zero denominator, bad monomial or repeated index; then n < 1;
+    then the first support out of range, even one whose terms cancel."""
     s = text.strip()
     if not s:
         raise ParseError("empty multivector text")
-    if s == "0":
-        return Multivector.zero(n)
-    pairs: list[tuple[Support, Fraction]] = []
-    for sign, body in _signed_chunks(s):
-        body = body.replace(" ", "")
-        coeff = Fraction(sign)
-        mono = body
-        if "*" in body:
-            head, _, mono = body.partition("*")
-            if not _COEFF_RE.match(head):
-                raise ParseError(f"bad coefficient in term {body!r}")
-            coeff *= _parse_coefficient(head, body)
-        elif _COEFF_RE.match(body):
-            pairs.append(((), coeff * _parse_coefficient(body, body)))
+    chunks = [(sign, body.replace(" ", "").strip()) for sign, body in _SIGNED_RE.findall(s)]
+    if any(sign == "-" and not body for sign, body in chunks):
+        raise ParseError(f"dangling sign in {s!r}")
+    acc: dict[Support, Fraction] = {}
+    outside = None
+    for sign, body in chunks:
+        if not body:
             continue
-        if not _MONOMIAL_RE.match(mono):
+        num, den, star, run, rest = _TERM_RE.fullmatch(body).groups()
+        if num is None and "*" in body:
+            raise ParseError(f"bad coefficient in term {body!r}")
+        p, q = int(num or 1), int(den or 1)
+        if not q:
+            raise ParseError(f"zero denominator in term {body!r}")
+        if rest or (star and not run):
             raise ParseError(f"bad monomial in term {body!r}")
-        indices = [int(tok[1:]) for tok in mono.split("^")]
-        if len(set(indices)) != len(indices):
+        idx = [int(i) for i in run[1:].split("^e")] if run else []
+        sup = tuple(sorted(idx))
+        if len(set(sup)) < len(sup):
             raise ParseError(f"repeated index in term {body!r}")
-        inversions = sum(
-            1 for a in range(len(indices)) for b in range(a + 1, len(indices))
-            if indices[a] > indices[b]
-        )
-        if inversions % 2:
-            coeff = -coeff
-        pairs.append((tuple(sorted(indices)), coeff))
-    try:
-        return Multivector(n, pairs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        flips = (sign == "-") + sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:])
+        acc[sup] = c = Fraction(-p if flips % 2 else p, q) + acc.get(sup, 0)
+        if not c:
+            del acc[sup]
+        if outside is None and sup and (sup[0] < 1 or sup[-1] > n):
+            outside = sup
+    if n < 1:
+        raise ParseError("ground dimension must be positive")
+    if outside is not None:
+        raise ParseError(f"support {outside} out of range for ground dimension {n}")
+    return Multivector._trusted(n, acc)

@@ -78,6 +78,12 @@ class TestPipeline:
         report = json.loads(out[out.index("{"):])
         assert code == 0 and report["size"] == 0 and report["certificate"]["steps"] == []
 
+    def test_unwritable_trace_leaves_stdout_empty(self, capsys, subspace_file, tmp_path):
+        trace = tmp_path / "missing" / "trace.json"
+        code, out, err = run(capsys, "pipeline", subspace_file, "--trace", str(trace))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_non_annihilating_input(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"n": 4, "k": 2, "basis": ["e1^e2", "e3^e4"]}))
@@ -139,6 +145,10 @@ class TestSmallVerbs:
         assert code == 1 and out == "" and "zero denominator" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_factor_non_ascii_digit(self, capsys):
+        code, out, err = run(capsys, "factor", "--n", "3", "--", "\u0663*e1^e2")
+        assert (code, out, err) == (1, "", "error: bad coefficient in term '\u0663*e1^e2'\n")
+
     def test_bad_pair(self, capsys, tmp_path):
         p = tmp_path / "fam.json"
         p.write_text(json.dumps({"n": 3, "k": 2, "sets": [[2, 3]]}))
@@ -156,6 +166,28 @@ class TestSmallVerbs:
         for verb, path in (("shift", fam), ("limit", sub)):
             code, out, err = run(capsys, verb, str(path), "--pair", pair)
             assert (code, out, err) == (1, "", expected), verb
+
+
+class TestCertificateDepthCap:
+    """A valid record whose shifted certificate would nest past the recursion
+    limit ends in one budget line; a record at the cap still encodes."""
+
+    @pytest.mark.parametrize("verb, record", [
+        ("verify-family", {"n": 499, "k": 2, "sets": [[1, 2], [1, 3]]}),
+        ("verify-family", {"n": 5000, "k": 2, "sets": [[1, 2], [1, 3]]}),
+        ("pipeline", {"n": 499, "k": 2, "basis": ["e1^e2", "e1^e3"]}),
+    ])
+    def test_above_cap_is_budget(self, capsys, verb, record):
+        code, out, err = run(capsys, verb, json.dumps(record))
+        assert code == 3 and out == ""
+        assert err.startswith("budget: ") and len(err.splitlines()) == 1
+
+    def test_at_cap_encodes(self, capsys):
+        from wedgeshift.ekr import MAX_CERT_N
+
+        record = {"n": MAX_CERT_N, "k": 2, "sets": [[1, 2], [1, 3]]}
+        code, out, _ = run(capsys, "verify-family", json.dumps(record))
+        assert code == 0 and json.loads(out[out.index("{"):])["bound"] == MAX_CERT_N - 1
 
 
 class TestEnumerate:

@@ -453,7 +453,8 @@ class TestTextForm:
         assert parse_multivector("e2^e1", 3) == mv(3, "-e1^e2")
 
     def test_parse_errors(self):
-        for bad in ["", "e1^e1", "e1 %", "x3", "2**e1", "e1^", "e9", "1/0"]:
+        for bad in ["", "e1^e1", "e1 %", "x3", "2**e1", "e1^", "e9", "1/0",
+                    "\u0663*e1", "e\u0661", "2\n*e1"]:
             with pytest.raises(ParseError):
                 parse_multivector(bad, 4)
 
