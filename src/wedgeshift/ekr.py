@@ -15,7 +15,7 @@ from math import comb
 from typing import Optional
 
 from .errors import BudgetExceededError, FalsificationError
-from .exterior import integer_terms, wedge_core
+from .exterior import wedge_core
 from .families import (
     DEFAULT_BUDGET,
     SetFamily,
@@ -80,13 +80,12 @@ def self_annihilating(V: Subspace, s: int = 2) -> bool:
 
     All multisets of rows are checked (the diagonal included, which is
     automatic for odd grade); by multilinearity this settles the condition
-    for the whole subspace.  Each row is scaled to integers once, and every
-    product is taken in full by the integer wedge core: scaling a factor
-    does not change whether a product vanishes."""
+    for the whole subspace.  Every product of V's integer rows is taken in
+    full by the integer wedge core: scaling a factor does not change whether
+    a product vanishes."""
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
-    rows = [integer_terms(r)[0] for r in V.rows]
-    for combo in itertools.combinations_with_replacement(rows, s):
+    for combo in itertools.combinations_with_replacement(V._rows, s):
         acc = combo[0]
         for x in combo[1:]:
             acc = wedge_core(V.n, acc, x)

@@ -8,9 +8,11 @@ multiplicatively to every graded component.  No floating point anywhere.
 The wedge product has one integer core.  ``integer_terms`` scales an operand
 once to integers over its common denominator; ``wedge_core`` multiplies two
 such integer term maps, visiting only the disjoint partner supports of each
-term.  ``wedge`` is scale, core, then one Fraction per output term; loops
-that reuse an operand (self-annihilation, annihilators, the Plücker limit)
-scale it once and stay in integers.
+term.  ``wedge`` takes two or more factors: it scales each once, chains the
+core, then makes one Fraction per output term; ``apply_linear`` is one such
+wedge per term of its argument.  Loops over canonical subspace rows
+(self-annihilation, annihilators, the Plücker limit) read the rows' integer
+form and stay in integers.
 
 The canonical text form orders terms by lexicographic support and writes each
 as ``c*e{i}^e{j}...`` with unit coefficients omitted, e.g.
@@ -21,8 +23,9 @@ in one pass: one full match and one Fraction per term, validated once.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, lcm
 from types import MappingProxyType
@@ -198,11 +201,10 @@ def _partners(n: int, sx: Support, g: int) -> tuple[tuple[Support, Support, int]
     )
 
 
-def integer_terms(x: Multivector, d: Optional[int] = None) -> tuple[dict[Support, int], int]:
-    """x's terms times d as integers, with d: by default the least common
-    denominator of x's coefficients; a given d must be a multiple of it."""
-    if d is None:
-        d = lcm(*(c.denominator for c in x._terms.values()))
+def integer_terms(x: Multivector) -> tuple[dict[Support, int], int]:
+    """x's terms times d as integers, with d the least common denominator of
+    x's coefficients."""
+    d = lcm(*(c.denominator for c in x._terms.values()))
     return {s: c.numerator * (d // c.denominator) for s, c in x._terms.items()}, d
 
 
@@ -235,33 +237,35 @@ def wedge_core(n: int, x: Mapping[Support, int], y: Mapping[Support, int]) -> di
     return {sup: v for sup, v in acc.items() if v}
 
 
-def wedge(x: Multivector, y: Multivector) -> Multivector:
-    """Exterior product, extended bilinearly from the merge-parity monomial rule.
+def wedge(x: Multivector, y: Multivector, *more: Multivector) -> Multivector:
+    """Exterior product of two or more factors, extended multilinearly from
+    the merge-parity monomial rule.
 
     Monomials with intersecting supports multiply to zero; otherwise the
     product is the monomial on the union with the sign of the permutation
     that sorts the concatenated index sequence.
 
     Each factor is scaled to integers over its own common denominator
-    (``integer_terms``), ``wedge_core`` multiplies the integers, and each
-    output term is one Fraction over the product of the two denominators.
-    Loops that wedge the same operand many times scale it once and call the
-    core themselves.
+    (``integer_terms``), ``wedge_core`` chains the integer products, and each
+    output term is one Fraction over the product of the denominators.  Loops
+    that wedge the same operand many times scale it once and call the core
+    themselves.
     """
-    if x.n != y.n:
-        raise GroundMismatchError(f"ground dimensions differ: {x.n} vs {y.n}")
-    xs, a = integer_terms(x)
-    ys, b = integer_terms(y)
-    d = a * b
-    product = wedge_core(x.n, xs, ys)
+    product, d = integer_terms(x)
+    for f in (y,) + more:
+        if f.n != x.n:
+            raise GroundMismatchError(f"ground dimensions differ: {x.n} vs {f.n}")
+        terms, b = integer_terms(f)
+        product = wedge_core(x.n, product, terms)
+        d *= b
     return Multivector._trusted(x.n, {sup: Fraction(v, d) for sup, v in product.items()})
 
 
 class LinearMap:
     """Exact square matrix acting on grade one; column j holds the image of e_j.
 
-    Entries are row-major with 0-based internal indexing; the public accessors
-    ``entry`` and ``column`` take 1-based indices to match basis-vector names.
+    Entries are row-major with 0-based internal indexing; the public accessor
+    ``entry`` takes 1-based indices to match basis-vector names.
     """
 
     __slots__ = ("n", "entries")
@@ -276,10 +280,6 @@ class LinearMap:
 
     def entry(self, r: int, c: int) -> Fraction:
         return self.entries[r - 1][c - 1]
-
-    def column(self, i: int) -> Multivector:
-        """Image of e_i as a grade-one multivector."""
-        return Multivector(self.n, {(r + 1,): self.entries[r][i - 1] for r in range(self.n)})
 
     def __call__(self, x: Multivector) -> Multivector:
         return apply_linear(self, x)
@@ -297,22 +297,21 @@ class LinearMap:
 def apply_linear(g: LinearMap, x: Multivector) -> Multivector:
     """Extend the grade-one action of g multiplicatively and linearly.
 
-    Each monomial maps to the wedge of the images of its factors, so
+    Each term c*e_S maps to the wedge of c with the images of its factors,
+    one ``wedge`` call that chains them in integers, so
     apply_linear(g, wedge(x, y)) = wedge(apply_linear(g, x), apply_linear(g, y)).
     """
     if g.n != x.n:
         raise GroundMismatchError(f"ground dimensions differ: {g.n} vs {x.n}")
-    columns = {i: g.column(i) for i in {i for sup in x._terms for i in sup}}
-    acc = Multivector.zero(x.n)
-    one = Multivector(x.n, {(): 1})
+    columns = {
+        i: Multivector._trusted(x.n, {(r + 1,): row[i - 1] for r, row in enumerate(g.entries) if row[i - 1]})
+        for i in {i for sup in x._terms for i in sup}
+    }
+    images = []
     for sup, c in x._terms.items():
-        image = one
-        for i in sup:
-            image = wedge(image, columns[i])
-            if image.is_zero:
-                break
-        acc = acc + image.scale(c)
-    return acc
+        scalar = Multivector._trusted(x.n, {(): c})
+        images.append(wedge(scalar, *(columns[i] for i in sup)) if sup else scalar)
+    return reduce(Multivector.__add__, images) if images else Multivector.zero(x.n)
 
 
 def format_multivector(x: Multivector) -> str:
@@ -348,8 +347,9 @@ def parse_multivector(text: str, n: int) -> Multivector:
     Digits are ASCII, spaces inside a term are ignored, an unsorted index run
     is normalized by parity, and terms on one support add.  Faults, in order:
     a dangling sign anywhere; then, term by term from the left, a bad
-    coefficient, zero denominator, bad monomial or repeated index; then n < 1;
-    then the first support out of range, even one whose terms cancel."""
+    coefficient, a number past the interpreter's digit limit, zero
+    denominator, bad monomial or repeated index; then n < 1; then the first
+    support out of range, even one whose terms cancel."""
     s = text.strip()
     if not s:
         raise ParseError("empty multivector text")
@@ -358,18 +358,20 @@ def parse_multivector(text: str, n: int) -> Multivector:
         raise ParseError(f"dangling sign in {s!r}")
     acc: dict[Support, Fraction] = {}
     outside = None
-    for sign, body in chunks:
-        if not body:
-            continue
+    for pos, (sign, body) in enumerate([c for c in chunks if c[1]], 1):
         num, den, star, run, rest = _TERM_RE.fullmatch(body).groups()
         if num is None and "*" in body:
             raise ParseError(f"bad coefficient in term {body!r}")
-        p, q = int(num or 1), int(den or 1)
+        try:
+            p, q = int(num or 1), int(den or 1)
+            idx = [int(i) for i in run[1:].split("^e")] if run else []
+        except ValueError:  # only a digit run past sys.get_int_max_str_digits() fails
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"term #{pos} has a number of more than {limit} digits") from None
         if not q:
             raise ParseError(f"zero denominator in term {body!r}")
         if rest or (star and not run):
             raise ParseError(f"bad monomial in term {body!r}")
-        idx = [int(i) for i in run[1:].split("^e")] if run else []
         sup = tuple(sorted(idx))
         if len(set(sup)) < len(sup):
             raise ParseError(f"repeated index in term {body!r}")

@@ -14,33 +14,30 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Mapping, Sequence
 
 from .errors import BudgetExceededError, FalsificationError, HomogeneityError
-from .exterior import Multivector, integer_terms, wedge, wedge_core
+from .exterior import Multivector, Support, integer_terms, wedge, wedge_core
 from .ekr import self_annihilating
 from .linalg import column_kernel
 from .subspace import _SIZE_CAP, MonomialOrder, Subspace, span
 
 
-def _annihilator(n: int, vectors) -> Subspace:
-    """Grade-one elements a with a wedge v = 0 for every given v: the kernel of
-    the columns e_i -> (e_i wedge v for each v), keyed by (position of v, support).
-    Each v is scaled to integers once and the columns hold the integer wedges:
-    scaling the block of rows of one v leaves the kernel unchanged.
-    No vectors, or grade n, leave every column empty and the whole space."""
-    scaled = [integer_terms(v)[0] for v in vectors]
+def _annihilator(n: int, vectors: Sequence[Mapping[Support, int]]) -> Subspace:
+    """Grade-one elements a with a wedge v = 0 for every given integer term
+    map v: the kernel of the columns e_i -> (e_i wedge v for each v), keyed
+    by (position of v, support), held as integer wedges.  The kernel's
+    integer vectors span the result.  No vectors, or grade n, leave every
+    column empty and the whole space."""
     columns = []
     for i in range(1, n + 1):
         e = {(i,): 1}
         col: dict = {}
-        for pos, v in enumerate(scaled):
+        for pos, v in enumerate(vectors):
             for sup, c in wedge_core(n, e, v).items():
                 col[(pos, sup)] = c
         columns.append(col)
-    kernel = [
-        Multivector._trusted(n, {(i + 1,): c for i, c in enumerate(vec) if c})
-        for vec in column_kernel(columns)
-    ]
+    kernel = [{(i + 1,): c for i, c in enumerate(vec) if c} for vec in column_kernel(columns)]
     return Subspace(MonomialOrder("lex", n, 1), kernel)
 
 
@@ -54,7 +51,7 @@ def linear_factors(v: Multivector) -> Subspace:
         raise ValueError("zero multivector: every grade-one element is a factor")
     if not v.is_homogeneous:
         raise HomogeneityError("linear factors need a homogeneous multivector")
-    return _annihilator(v.n, [v])
+    return _annihilator(v.n, [integer_terms(v)[0]])
 
 
 def extract_cofactor(v: Multivector, a: Multivector) -> Multivector:
@@ -90,7 +87,7 @@ def common_annihilator(V: Subspace) -> Subspace:
 
     Equals the space of common linear factors of V; the zero subspace is
     annihilated by everything."""
-    return _annihilator(V.n, V.rows)
+    return _annihilator(V.n, V._rows)
 
 
 @dataclass

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from .errors import FalsificationError, IterationLimitError
-from .exterior import Multivector, integer_terms, wedge_core
+from .exterior import Multivector, Support, wedge_core
 from .families import ShiftPair, _check_pair, is_shifted
 from .subspace import PlueckerVector, Subspace, _check_pluecker_size, _lift, _pluecker_vector
 
@@ -33,21 +33,26 @@ def _as_pair(pair: PairLike, n: int) -> ShiftPair:
     return p
 
 
-def shift_map(x: Multivector, pair: PairLike) -> Multivector:
-    """Linear map sending each monomial with factor e_i to the same monomial with
-    e_i replaced by e_j (zero when j is already a factor), and every monomial
-    without i to zero.  Applying it twice gives zero."""
-    p = _as_pair(pair, x.n)
-    i, j = p.i, p.j
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for sup, c in x.terms.items():
+def _replaced(terms: Mapping[Support, Any], i: int, j: int) -> dict[Support, Any]:
+    """shift_map on a term map with any coefficients: the image's coefficients
+    are a signed subset of the input's."""
+    acc = {}
+    for sup, c in terms.items():
         if i not in sup or j in sup:
             continue
         rest = tuple(a for a in sup if a != i)
         eps = -1 if sup.index(i) % 2 else 1
         sig = -1 if sum(1 for a in rest if a < j) % 2 else 1
         acc[tuple(sorted(rest + (j,)))] = eps * sig * c  # the target determines sup: no collisions
-    return Multivector._trusted(x.n, acc)
+    return acc
+
+
+def shift_map(x: Multivector, pair: PairLike) -> Multivector:
+    """Linear map sending each monomial with factor e_i to the same monomial with
+    e_i replaced by e_j (zero when j is already a factor), and every monomial
+    without i to zero.  Applying it twice gives zero."""
+    p = _as_pair(pair, x.n)
+    return Multivector._trusted(x.n, _replaced(x.terms, p.i, p.j))
 
 
 def limit_shift(V: Subspace, pair: PairLike) -> Subspace:
@@ -55,9 +60,10 @@ def limit_shift(V: Subspace, pair: PairLike) -> Subspace:
     without bound: the image of the replacement map plus the members of V whose
     image lands back in V.  When every image already lies in V the limit is V
     itself, returned as is.  Dimension is preserved; the result is idempotent
-    under the same pair."""
+    under the same pair.  Images, residues and members are integer term maps
+    built from V's integer rows."""
     p = _as_pair(pair, V.n)
-    images = [shift_map(r, p) for r in V.rows]
+    images = [_replaced(r, p.i, p.j) for r in V._rows]
     members = V._members_mapped_into(images)
     if len(members) == V.dim:
         return V
@@ -86,24 +92,22 @@ def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
     the limit point.  Must agree with the Plücker vector of limit_shift
     projectively.
 
-    The coefficients stay integer maps from the integer wedge core.  Each
-    lifted r and its image x are scaled by the same integer, r's common
-    denominator, which clears x too: x's coefficients are a signed subset of
-    r's.  Every coefficient then carries the same overall factor, which the
-    projective normalization divides out."""
+    The coefficients stay integer maps from the integer wedge core: r is
+    V's integer row and x its image, whose coefficients are a signed subset
+    of r's.  Each row is a multiple of its pivot-1 row, and every
+    coefficient carries the product of those factors, which the projective
+    normalization divides out."""
     p = _as_pair(pair, V.n)
     m = V.dim
     if m == 0:
         raise ValueError("zero subspace has no Pluecker vector")
     _check_pluecker_size(comb(comb(V.n, V.k), m))
-    rows = list(V.rows)
-    columns, lifted = _lift(V.order, rows + [shift_map(r, p) for r in rows])
+    rows = list(V._rows)
+    columns, lifted = _lift(V.order, rows + [_replaced(r, p.i, p.j) for r in rows])
     ncols = len(columns)
     # by_degree[d] is the coefficient of t^d in the wedge of the rows so far
     by_degree: list[dict] = [{(): 1}]
-    for r, x in zip(lifted[:m], lifted[m:]):
-        rs, d = integer_terms(r)
-        xs = integer_terms(x, d)[0]
+    for rs, xs in zip(lifted[:m], lifted[m:]):
         step = [wedge_core(ncols, same, rs) for same in by_degree] + [{}]
         for deg, lower in enumerate(by_degree, 1):
             acc = step[deg]

@@ -5,17 +5,17 @@ pivot of a row is its smallest column under an optional sort key.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
 cleared of denominators once, rows are combined without division and every
 changed row is divided by its content, so the work follows the nonzeros and
-no row is ever widened to all columns.  Canonical subspace rows and kernels
-both come from ``rref``.
+no row is ever widened to all columns.  Each output row is the row's unique
+integer form: primitive, with a positive pivot.  Canonical subspace rows and
+kernels both come from ``rref``, and neither builds a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Mapping, Optional, Sequence, Union
 
-Matrix = list[list[Fraction]]
 Row = dict[Hashable, int]
 
 
@@ -40,10 +40,13 @@ def _combine(a: Row, p: int, b: Row, f: int) -> Row:
 
 
 def rref(
-    rows: Sequence[Mapping[Hashable, Fraction]],
+    rows: Sequence[Mapping[Hashable, Union[int, Fraction]]],
     key: Optional[Callable[[Any], Any]] = None,
-) -> tuple[list[dict[Hashable, Fraction]], list]:
-    """Reduced row echelon form: (nonzero rows, pivot columns), in pivot order."""
+) -> tuple[list[Row], list]:
+    """Reduced row echelon form: (nonzero rows, pivot columns), in pivot order.
+
+    Each row is primitive with a positive pivot and zero at the other pivots,
+    so dividing it by its pivot gives the pivot-1 row: one form per span."""
     echelon: dict[Hashable, Row] = {}  # pivot -> primitive row, zero at the other pivots
     for row in rows:
         d = lcm(*(v.denominator for v in row.values()))
@@ -62,16 +65,18 @@ def rref(
     pivots = sorted(echelon, key=key)
     reduced = []
     for c in pivots:
-        p = echelon[c][c]
-        reduced.append({col: Fraction(v, p) for col, v in echelon[c].items()})
+        row = echelon[c]
+        reduced.append(row if row[c] > 0 else {col: -v for col, v in row.items()})
     return reduced, pivots
 
 
-def column_kernel(columns: Sequence[Mapping[Hashable, Fraction]]) -> Matrix:
-    """Nullspace of the matrix whose columns are sparse coordinate maps, in
-    free-column order: one sparse row per coordinate some column touches.  No
-    columns touching any coordinate leaves the whole space."""
-    rows: dict[Hashable, dict[int, Fraction]] = {}
+def column_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> list[list[int]]:
+    """Integer nullspace basis of the matrix whose columns are sparse coordinate
+    maps, in free-column order: one sparse row per coordinate some column
+    touches.  The vector of free column f is f's pivot-1 kernel vector times
+    the lcm of the pivots it meets.  No columns touching any coordinate
+    leaves the whole space."""
+    rows: dict[Hashable, dict[int, Union[int, Fraction]]] = {}
     for j, col in enumerate(columns):
         for key, v in col.items():
             rows.setdefault(key, {})[j] = v
@@ -81,10 +86,11 @@ def column_kernel(columns: Sequence[Mapping[Hashable, Fraction]]) -> Matrix:
     for f in range(len(columns)):
         if f in pivot_set:
             continue
-        vec = [Fraction(0)] * len(columns)
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            if f in row:
-                vec[p] = -row[f]
+        hits = [(row[p], row[f], p) for row, p in zip(reduced, pivots) if f in row]
+        scale = lcm(*(a for a, _, _ in hits))
+        vec = [0] * len(columns)
+        vec[f] = scale
+        for a, b, p in hits:
+            vec[p] = -b * (scale // a)
         basis.append(vec)
     return basis

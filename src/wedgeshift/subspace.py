@@ -1,15 +1,18 @@
 """Canonical subspaces of a fixed graded component, plus the Plücker embedding.
 
 A subspace is stored as the reduced echelon basis of its row space with
-respect to an explicit ordering of the monomial coordinates, so subspace
-equality is literal equality of canonical rows.  Two coordinate orders are
-available: ``lex`` compares supports as sorted index sequences, and
-``weight2`` orders supports by increasing binary weight (the sum of 2^i over
-the support), which is what a diagonal action with doubly exponential
-parameter weights separates.  The two differ: {1,4} precedes {2,3} in lex
-but has the larger binary weight (18 against 12).  Rows stay sparse, keyed by
-support, and nothing here lists all C(n, k) coordinates: the Plücker embedding
-is the wedge of the rows lifted to grade one over the supports they touch.
+respect to an explicit ordering of the monomial coordinates, each row in its
+unique integer form (primitive, positive pivot), so subspace equality is
+literal equality of those rows.  The package computes on the integer rows;
+the public ``rows``, divided by their pivots, are built on first read.  Two
+coordinate orders are available: ``lex`` compares supports as sorted index
+sequences, and ``weight2`` orders supports by increasing binary weight (the
+sum of 2^i over the support), which is what a diagonal action with doubly
+exponential parameter weights separates.  The two differ: {1,4} precedes
+{2,3} in lex but has the larger binary weight (18 against 12).  Rows stay
+sparse, keyed by support, and nothing here lists all C(n, k) coordinates:
+the Plücker embedding is the wedge of the rows lifted to grade one over the
+supports they touch.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb
-from typing import Iterable, Optional, Sequence, Union
+from math import comb, lcm
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, GroundMismatchError, HomogeneityError
 from .exterior import Multivector, Support, wedge
@@ -70,30 +73,47 @@ class PlueckerVector:
 class Subspace:
     """Row space in reduced echelon form over an explicit monomial order.
 
-    Construction re-canonicalizes any spanning set, so equal subspaces are
-    structurally equal; pivot monomials are the order-earliest supports of
-    the canonical rows.
+    Construction re-canonicalizes any spanning set: Multivectors, checked
+    here, or the package's own integer term maps of grade k, taken as they
+    are.  Each canonical row is kept primitive with a positive pivot, the
+    one integer form of its pivot-1 row, so equal subspaces have equal rows
+    and pivots; pivot monomials are the order-earliest supports of the rows.
     """
 
-    __slots__ = ("order", "rows", "_pivots")
+    __slots__ = ("order", "_rows", "_pivots", "_fraction_rows")
 
-    def __init__(self, order: MonomialOrder, vectors: Iterable[Multivector] = ()):
-        vecs = list(vectors)
-        for v in vecs:
-            if v.n != order.n:
-                raise GroundMismatchError(
-                    f"vector over ground dimension {v.n}, order expects {order.n}"
-                )
-            if not v.is_homogeneous:
-                raise HomogeneityError("spanning vectors must be homogeneous")
-            if not v.is_zero and v.grade != order.k:
-                raise HomogeneityError(
-                    f"spanning vector of grade {v.grade}, order expects {order.k}"
-                )
-        reduced, pivots = rref([v.terms for v in vecs], order.key)
+    def __init__(self, order: MonomialOrder, vectors: Iterable[Union[Multivector, Mapping]] = ()):
+        terms = []
+        for v in vectors:
+            if isinstance(v, Multivector):
+                if v.n != order.n:
+                    raise GroundMismatchError(
+                        f"vector over ground dimension {v.n}, order expects {order.n}"
+                    )
+                if not v.is_homogeneous:
+                    raise HomogeneityError("spanning vectors must be homogeneous")
+                if not v.is_zero and v.grade != order.k:
+                    raise HomogeneityError(
+                        f"spanning vector of grade {v.grade}, order expects {order.k}"
+                    )
+                v = v.terms
+            terms.append(v)
+        rows, pivots = rref(terms, order.key)
         self.order = order
-        self.rows = tuple(Multivector._trusted(order.n, row) for row in reduced)
+        self._rows = tuple(rows)
         self._pivots = tuple(pivots)
+        self._fraction_rows: Optional[tuple[Multivector, ...]] = None
+
+    @property
+    def rows(self) -> tuple[Multivector, ...]:
+        """The canonical rows divided by their pivots: pivot 1, Fraction values.
+        Built on first read and kept."""
+        if self._fraction_rows is None:
+            self._fraction_rows = tuple(
+                Multivector._trusted(self.n, {s: Fraction(v, row[piv]) for s, v in row.items()})
+                for row, piv in zip(self._rows, self._pivots)
+            )
+        return self._fraction_rows
 
     @property
     def n(self) -> int:
@@ -105,59 +125,63 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self._rows
 
     def pivots(self) -> tuple[Support, ...]:
         """Pivot supports of the canonical rows, in coordinate order."""
         return self._pivots
 
-    def _residue(self, x: Multivector) -> dict[Support, Fraction]:
-        """Terms of x reduced against the canonical rows: zero exactly on V.
+    def _residue(self, x: Mapping[Support, int]) -> tuple[dict[Support, int], int]:
+        """An integer term map reduced against the canonical rows, and the
+        scale s it carries: s*x minus the member of V that agrees with s*x at
+        every pivot.  Zero exactly on V.
 
-        Each row vanishes at every other row's pivot, so one pass clears all
-        pivots and the map x -> residue is linear with kernel V."""
-        acc = dict(x.terms)
-        for row, piv in zip(self.rows, self._pivots):
-            c = acc.get(piv)
-            if c:
-                for sup, v in row.terms.items():
-                    w = acc.get(sup, 0) - c * v
-                    if w:
-                        acc[sup] = w
-                    else:
-                        del acc[sup]
-        return acc
+        Each row vanishes at every other row's pivot, so x's coefficient at
+        a pivot is touched by that row only and one pass clears all pivots.
+        s is the lcm of the pivots met, and x -> residue/s is linear with
+        kernel V."""
+        hits = [(row, piv, x[piv]) for row, piv in zip(self._rows, self._pivots) if piv in x]
+        s = lcm(*(row[piv] for row, piv, _ in hits))
+        acc = {sup: s * v for sup, v in x.items()}
+        for row, piv, c in hits:
+            f = c * (s // row[piv])
+            for sup, v in row.items():
+                w = acc.get(sup, 0) - f * v
+                if w:
+                    acc[sup] = w
+                else:
+                    del acc[sup]
+        return acc, s
 
-    def _members_mapped_into(self, images: Sequence[Multivector]) -> list[Multivector]:
-        """Basis of the combinations sum c_i r_i of the canonical rows r_i whose
-        image sum c_i images[i] lies in V: the kernel of the residues modulo V,
-        a dim-column matrix over only the supports those residues touch.  When
-        every image lies in V this is the rows themselves."""
+    def _members_mapped_into(self, images: Sequence[Mapping[Support, int]]) -> list[dict[Support, int]]:
+        """Basis of the integer combinations sum c_i r_i of the canonical rows
+        r_i whose image sum c_i images[i] lies in V: the kernel of the
+        residues modulo V, a dim-column matrix over only the supports those
+        residues touch.  A kernel vector u of the scaled residues gives
+        c_i = u_i s_i.  When every image lies in V this is the rows."""
         residues = [self._residue(x) for x in images]
-        if not any(residues):
-            return list(self.rows)
+        if not any(res for res, _ in residues):
+            return list(self._rows)
         members = []
-        for vec in column_kernel(residues):
-            acc = Multivector.zero(self.n)
-            for coeff, row in zip(vec, self.rows):
-                if coeff:
-                    acc = acc + row.scale(coeff)
-            members.append(acc)
+        for vec in column_kernel([res for res, _ in residues]):
+            acc: dict[Support, int] = {}
+            for u, (_, scale), row in zip(vec, residues, self._rows):
+                if u:
+                    c = u * scale
+                    for sup, v in row.items():
+                        acc[sup] = acc.get(sup, 0) + c * v
+            members.append({sup: v for sup, v in acc.items() if v})
         return members
 
     def monomial_basis(self) -> Optional[SetFamily]:
         """Support family when every canonical row is a single monomial, else None."""
-        sets = []
-        for row in self.rows:
-            terms = row.terms
-            if len(terms) != 1:
-                return None
-            sets.append(next(iter(terms)))
-        return SetFamily(self.n, self.k, tuple(sets))
+        if any(len(row) != 1 for row in self._rows):
+            return None
+        return SetFamily(self.n, self.k, tuple(next(iter(row)) for row in self._rows))
 
     def pluecker(self) -> PlueckerVector:
         """All maximal minors of the canonical row matrix, projectively normalized.
@@ -165,24 +189,27 @@ class Subspace:
         The minors are the coefficients of the wedge of the rows lifted to
         grade one; coordinates are indexed by m-subsets of the monomial
         coordinates, in lexicographic order of their positions in the
-        monomial order.
+        monomial order.  It goes through the public ``rows`` and ``wedge``,
+        not the integer rows that ``pluecker_limit`` reads.
         """
         m = self.dim
         if m == 0:
             raise ValueError("zero subspace has no Pluecker vector")
         _check_pluecker_size(comb(comb(self.n, self.k), m))
-        columns, lifted = _lift(self.order, self.rows)
-        return _pluecker_vector(self.order, columns, reduce(wedge, lifted))
+        columns, lifted = _lift(self.order, [r.terms for r in self.rows])
+        product = reduce(wedge, [Multivector._trusted(len(columns), row) for row in lifted])
+        return _pluecker_vector(self.order, columns, product)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Subspace)
             and self.order == other.order
-            and self.rows == other.rows
+            and self._pivots == other._pivots
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.order, self.rows))
+        return hash((self.order, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
         basis = ", ".join(str(r) for r in self.rows)
@@ -190,21 +217,18 @@ class Subspace:
 
 
 def _lift(
-    order: MonomialOrder, vectors: Sequence[Multivector]
-) -> tuple[list[Support], list[Multivector]]:
-    """Grade-one copies of grade-k vectors over the supports they touch.
+    order: MonomialOrder, rows: Sequence[Mapping[Support, Any]]
+) -> tuple[list[Support], list[dict[Support, Any]]]:
+    """Grade-one copies of grade-k term maps over the supports they touch.
 
     The touched supports, sorted by the order, become the positions 1..N, and
-    each vector becomes the grade-one vector with its coefficient of the
-    support at each position.  The coefficient of e_c1^...^e_cm (c1 < ... < cm)
-    in the wedge of m lifted vectors is their maximal minor at columns
-    c1, ..., cm; every minor at an untouched column is zero."""
-    columns = sorted({s for v in vectors for s in v.terms}, key=order.key)
+    each map becomes the grade-one map with its coefficient of the support
+    at each position.  The coefficient of e_c1^...^e_cm (c1 < ... < cm) in
+    the wedge of m lifted maps is their maximal minor at columns c1, ..., cm;
+    every minor at an untouched column is zero."""
+    columns = sorted({s for row in rows for s in row}, key=order.key)
     position = {s: p for p, s in enumerate(columns, 1)}
-    lifted = [
-        Multivector._trusted(len(columns), {(position[s],): c for s, c in v.terms.items()})
-        for v in vectors
-    ]
+    lifted = [{(position[s],): c for s, c in row.items()} for row in rows]
     return columns, lifted
 
 
@@ -220,6 +244,7 @@ def _pluecker_vector(
         order,
         tuple((tuple(columns[p - 1] for p in key), v / lead) for key, v in items),
     )
+
 
 
 def span(vectors: Iterable[Multivector], order: Optional[MonomialOrder] = None) -> Subspace:

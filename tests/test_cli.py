@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 
 import pytest
 
@@ -148,6 +149,19 @@ class TestSmallVerbs:
     def test_factor_non_ascii_digit(self, capsys):
         code, out, err = run(capsys, "factor", "--n", "3", "--", "\u0663*e1^e2")
         assert (code, out, err) == (1, "", "error: bad coefficient in term '\u0663*e1^e2'\n")
+
+    def test_factor_number_past_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "factor", "--n", "2", "--", "e2 + " + "1" * (limit + 700) + "*e1")
+        assert (code, out) == (1, "")
+        assert err == f"error: term #2 has a number of more than {limit} digits\n"
+
+    def test_pipeline_record_number_past_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        record = {"n": 4, "k": 2, "basis": ["e1^e2", "e1^e" + "3" * (limit + 1)]}
+        code, out, err = run(capsys, "pipeline", json.dumps(record))
+        assert (code, out) == (1, "")
+        assert err == f"error: basis row #2: term #1 has a number of more than {limit} digits\n"
 
     def test_bad_pair(self, capsys, tmp_path):
         p = tmp_path / "fam.json"

@@ -398,7 +398,8 @@ def parent_pluecker_limit(V, p):
     Multivector of Fractions, built with parent_wedge and Multivector sums."""
     m = V.dim
     rows = list(V.rows)
-    columns, lifted = _lift(V.order, rows + [shift_map(r, p) for r in rows])
+    columns, lifted = _lift(V.order, [x.terms for x in rows + [shift_map(r, p) for r in rows]])
+    lifted = [Multivector(len(columns), x) for x in lifted]
     zero = Multivector.zero(len(columns))
     by_degree = [Multivector(len(columns), {(): 1})]
     for r, x in zip(lifted[:m], lifted[m:]):

@@ -91,6 +91,7 @@ def test_matches_dense_rref(shape):
         for labels, key in labelings(ncols):
             sparse = [{labels[c]: v for c, v in enumerate(row) if v} for row in rows]
             reduced, pivots = rref(sparse, key)
+            reduced = [{c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(reduced, pivots)]
             assert pivots == [labels[c] for c in expected_pivots]
             assert reduced == [{labels[c]: v for c, v in enumerate(row) if v}
                                for row in expected_rows]
