@@ -8,6 +8,7 @@ or iteration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -68,6 +69,7 @@ def _need_family(value, what: str) -> SetFamily:
     return value
 
 
+@functools.cache  # built on first use, not at import; every call of main shares it
 def build_parser() -> _Parser:
     parser = _Parser(prog="wedgeshift", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -5,13 +5,18 @@ The shifted-family bound is certified by the deletion/link induction
 general self-annihilating subspaces are handled by driving them to a shifted
 monomial fixed point first and certifying the resulting family.  Desk-scale
 enumeration backs the non-star bound check.
+
+Self-annihilation takes one packed product per row: the rows from j on ride
+as base-2^L digits of one term map (Kronecker substitution), 2^L above twice
+the largest digit a product can make, so the packed product is zero exactly
+when every digit is: the lowest nonzero digit is nonzero mod 2^L.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Optional
 
 from .errors import BudgetExceededError, FalsificationError
@@ -78,21 +83,32 @@ class VerifyReport:
 def self_annihilating(V: Subspace, s: int = 2) -> bool:
     """True when every s-fold wedge of canonical rows vanishes.
 
-    All multisets of rows are checked (the diagonal included, which is
-    automatic for odd grade); by multilinearity this settles the condition
-    for the whole subspace.  Every product of V's integer rows is taken in
-    full by the integer wedge core: scaling a factor does not change whether
-    a product vanishes."""
+    All multisets of rows are checked, the diagonal included; by
+    multilinearity this settles the whole subspace, and the integer rows
+    serve because scaling a row does not change whether a product vanishes.
+    They are packed from the last, P_j = r_j + (P_{j+1} << L), so Q ^ P_j
+    holds Q ^ r_l as its base-2^L digit at l - j for every l >= j, with Q = r_j
+    times a multiset of s - 2 rows of index <= j.  A digit sums
+    prod_{t=2..s} C(tk, k) terms of size at most M^s, M the largest
+    |coefficient|, so it is below 2^(L-1); the lowest nonzero digit is then
+    nonzero mod 2^L, and Q ^ P_j is zero exactly when every digit is."""
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
-    for combo in itertools.combinations_with_replacement(V._rows, s):
-        acc = combo[0]
-        for x in combo[1:]:
-            acc = wedge_core(V.n, acc, x)
-            if not acc:
-                break
-        if acc:
-            return False
+    rows = V._rows
+    M = max((abs(c) for row in rows for c in row.values()), default=0)
+    L = (M**s * prod(comb(t * V.k, V.k) for t in range(2, s + 1))).bit_length() + 1
+    packed: dict = {}
+    for j in range(len(rows) - 1, -1, -1):
+        r = rows[j]
+        packed = {sup: r.get(sup, 0) + (packed.get(sup, 0) << L) for sup in r.keys() | packed.keys()}
+        for prefix in itertools.combinations_with_replacement(rows[: j + 1], s - 2):
+            acc = r
+            for x in prefix:
+                acc = wedge_core(V.n, x, acc)
+                if not acc:
+                    break
+            if acc and wedge_core(V.n, acc, packed):
+                return False
     return True
 
 

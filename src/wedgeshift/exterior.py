@@ -376,7 +376,8 @@ def parse_multivector(text: str, n: int) -> Multivector:
         if len(set(sup)) < len(sup):
             raise ParseError(f"repeated index in term {body!r}")
         flips = (sign == "-") + sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:])
-        acc[sup] = c = Fraction(-p if flips % 2 else p, q) + acc.get(sup, 0)
+        c = Fraction(-p if flips % 2 else p, q)
+        acc[sup] = c = acc[sup] + c if sup in acc else c
         if not c:
             del acc[sup]
         if outside is None and sup and (sup[0] < 1 or sup[-1] > n):

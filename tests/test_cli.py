@@ -308,6 +308,13 @@ class TestExitCodes:
         assert run(capsys, "no-such-verb")[0] == 1
         assert run(capsys)[0] == 1
 
+    @pytest.mark.parametrize("bad", [("no-such-verb",), ("enumerate", "--n", "x", "--k", "2"),
+                                     ("pipeline",), ("hm-verify", "--n", "6", "--k", "2", "--budget", "0")])
+    def test_shared_parser_repeats_a_usage_error(self, capsys, bad):
+        first = run(capsys, *bad)
+        assert run(capsys, "factor", "--n", "3", "e1^e2")[0] == 0
+        assert first[0] == 1 and first[2].startswith("usage error") and run(capsys, *bad) == first
+
     def test_falsification_is_two(self, capsys, star_file, monkeypatch):
         import wedgeshift.cli as cli
 

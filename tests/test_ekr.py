@@ -62,6 +62,19 @@ class TestSelfAnnihilating:
     def test_disjoint_pair(self, mv):
         assert not self_annihilating(span([mv(4, "e1^e2"), mv(4, "e3^e4")]))
 
+    def test_digits_that_cancel_under_a_one_bit_shift(self, mv):
+        # r0^r0 = 2*e1^e2^e3^e4 and r0^r1 = -e1^e2^e3^e4: 2 + (-1 << 1) = 0
+        assert not self_annihilating(span([mv(4, "e1^e2 + e3^e4"), mv(4, "e1^e3 - e3^e4")]))
+
+    def test_digits_that_cancel_with_no_shift(self, mv):
+        # r0^r0 = 2*e1^e2^e3^e4 and r0^r1 = -2*e1^e2^e3^e4: 2 + -2 = 0
+        assert not self_annihilating(span([mv(4, "e1^e2 + e3^e4"), mv(4, "e1^e3 - 2*e3^e4")]))
+
+    def test_one_row_whose_powers_do_not_vanish(self, mv):
+        # only the diagonal products r^r and r^r^r are nonzero
+        assert not self_annihilating(span([mv(4, "e1^e2 + e3^e4")]))
+        assert not self_annihilating(span([mv(6, "e1^e2 + e3^e4 + e5^e6"), mv(6, "e1^e3")]), s=3)
+
     def test_complement_pair_element(self, mv):
         assert self_annihilating(span([mv(6, "e1^e2^e3 + e4^e5^e6")]))
 

@@ -340,8 +340,11 @@ class TestSelfAnnihilatingDifferential:
             supports = list(itertools.combinations(range(1, n + 1), k))
             if draw(st.booleans()):  # every product of such rows repeats e1
                 supports = [s for s in supports if 1 in s]
-            m = draw(st.integers(1, 4))
-            rows = draw(st.lists(st.lists(_coefficients(st), min_size=len(supports),
+            m = draw(st.integers(1, 6))
+            # wide numerators of either sign make wide canonical rows, hence wide digits
+            wide = st.builds(Fraction, st.integers(-2**128, 2**128), st.sampled_from([1, 3]))
+            coefficients = st.one_of(_coefficients(st), wide)
+            rows = draw(st.lists(st.lists(coefficients, min_size=len(supports),
                                           max_size=len(supports)), min_size=m, max_size=m))
             return Subspace(MonomialOrder(kind, n, k),
                             [Multivector(n, dict(zip(supports, row))) for row in rows])
