@@ -5,11 +5,15 @@ closed form (image of the index-replacement map plus the part of the space
 whose image falls back inside it); the limit of the doubly exponential
 diagonal family is the span of the pivot monomials.  A round-robin drive
 composes the shear limits, directly or after an initial-monomial
-degeneration, until the result is fixed by every decreasing pair; on a
-monomial subspace each shear limit is the combinatorial shift of the support
-family.  An independent oracle recomputes shear limits through Plücker
-coordinates: the leading coefficient, in the shear parameter, of the wedge of
-the sheared rows.
+degeneration, and stops at the first monomial state whose support family is
+shifted (or after a round that changes nothing), under a cap counted in
+rounds.  The stop is exact: a monomial row's replacement image is plus or
+minus a monomial, which lies in the span exactly when its support is in the
+family, so "every decreasing shear fixes the span" and "the family is
+shifted" are the same condition.  On a monomial subspace each shear limit is
+the combinatorial shift of the support family.  An independent oracle
+recomputes shear limits through Plücker coordinates: the leading coefficient,
+in the shear parameter, of the wedge of the sheared rows.
 """
 
 from __future__ import annotations
@@ -168,15 +172,22 @@ def triangular_fixed_point(
 ) -> tuple[Subspace, list[TraceStep]]:
     """Drive V to a subspace fixed by every decreasing shear limit.
 
-    Both routes round-robin limit_shift over all pairs i > j until a full
-    round applies no change.  Route ``init-then-shift`` first degenerates to
-    the initial monomial subspace, where each shear limit is the
-    combinatorial shift of the support family, so its steps are recorded as
-    ``comb_shift``.  On either route the round cap (default 10*n^2) turns a
-    runaway drive into IterationLimitError instead of a loop.  The result
-    has a monomial basis whose support family is shifted, and the trace
-    lists every applied step.  The zero subspace is returned as is, with an
-    empty trace, before any pair is listed."""
+    Both routes round-robin limit_shift over all pairs i > j and stop at
+    the first monomial state whose support family is shifted, checked on
+    the starting state and after every applied step, or after a round that
+    applies no change.  The stop is exact: a monomial row's replacement
+    image is a signed monomial, in V exactly when its support is in the
+    family, so a shifted monomial span is fixed by every decreasing shear.
+    Route ``init-then-shift`` first degenerates to the initial monomial
+    subspace, where each shear limit is the combinatorial shift of the
+    support family, so its steps are recorded as ``comb_shift``.  On
+    either route the round cap (default 10*n^2) turns a runaway drive into
+    IterationLimitError instead of a loop; the fixed point must be seen in
+    a round within the cap, so a state first shifted during the last
+    allowed round still raises.  The result has a monomial basis whose
+    support family is shifted, and the trace lists every applied step.
+    The zero subspace is returned as is, with an empty trace, before any
+    pair is listed."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if V.is_zero:  # every map fixes the zero subspace: no pairs, no steps
@@ -184,17 +195,17 @@ def triangular_fixed_point(
     n = V.n
     pairs = decreasing_pairs(n)
     steps: list[TraceStep] = []
-    current = V
-    if route == "init-then-shift":
-        current = initial_subspace(V)
-        mono, shif = _status(current)
-        if current != V:
-            steps.append(TraceStep(0, "init", None, current.dim, mono, shif, current))
-        if not mono:
-            raise FalsificationError("initial-monomial degeneration is not monomial")
+    current = initial_subspace(V) if route == "init-then-shift" else V
+    mono, shif = _status(current)
+    if current != V:
+        steps.append(TraceStep(0, "init", None, current.dim, mono, shif, current))
+    if route == "init-then-shift" and not mono:
+        raise FalsificationError("initial-monomial degeneration is not monomial")
     kind = "limit_shift" if route == "iterate" else "comb_shift"
     cap = 10 * n * n if max_rounds is None else max_rounds
     for _ in range(cap):
+        if shif:
+            break
         changed = False
         for p in pairs:
             moved = limit_shift(current, p)
@@ -203,6 +214,8 @@ def triangular_fixed_point(
                 changed = True
                 mono, shif = _status(current)
                 steps.append(TraceStep(len(steps), kind, (p.i, p.j), current.dim, mono, shif, current))
+                if shif:
+                    break
         if not changed:
             break
     else:

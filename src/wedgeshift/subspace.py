@@ -78,9 +78,11 @@ class Subspace:
     are.  Each canonical row is kept primitive with a positive pivot, the
     one integer form of its pivot-1 row, so equal subspaces have equal rows
     and pivots; pivot monomials are the order-earliest supports of the rows.
+    One map from each pivot to its row, in coordinate order, serves pivots()
+    and the row look-ups of the residue.
     """
 
-    __slots__ = ("order", "_rows", "_pivots", "_fraction_rows")
+    __slots__ = ("order", "_rows", "_by_pivot", "_fraction_rows")
 
     def __init__(self, order: MonomialOrder, vectors: Iterable[Union[Multivector, Mapping]] = ()):
         terms = []
@@ -101,7 +103,7 @@ class Subspace:
         rows, pivots = rref(terms, order.key)
         self.order = order
         self._rows = tuple(rows)
-        self._pivots = tuple(pivots)
+        self._by_pivot = dict(zip(pivots, self._rows))
         self._fraction_rows: Optional[tuple[Multivector, ...]] = None
 
     @property
@@ -111,7 +113,7 @@ class Subspace:
         if self._fraction_rows is None:
             self._fraction_rows = tuple(
                 Multivector._trusted(self.n, {s: Fraction(v, row[piv]) for s, v in row.items()})
-                for row, piv in zip(self._rows, self._pivots)
+                for piv, row in self._by_pivot.items()
             )
         return self._fraction_rows
 
@@ -133,7 +135,7 @@ class Subspace:
 
     def pivots(self) -> tuple[Support, ...]:
         """Pivot supports of the canonical rows, in coordinate order."""
-        return self._pivots
+        return tuple(self._by_pivot)
 
     def _residue(self, x: Mapping[Support, int]) -> tuple[dict[Support, int], int]:
         """An integer term map reduced against the canonical rows, and the
@@ -142,9 +144,14 @@ class Subspace:
 
         Each row vanishes at every other row's pivot, so x's coefficient at
         a pivot is touched by that row only and one pass clears all pivots.
-        s is the lcm of the pivots met, and x -> residue/s is linear with
-        kernel V."""
-        hits = [(row, piv, x[piv]) for row, piv in zip(self._rows, self._pivots) if piv in x]
+        The rows met are found by looking x's supports up in the pivot map,
+        about |x| look-ups instead of one per row.  s is the lcm of the
+        pivots met, and x -> residue/s is linear with kernel V.  On a
+        monomial V, a signed monomial x has zero residue exactly when its
+        support is in V's family: the fact that lets the fixed-point drive
+        stop at a shifted family, within the same round cap."""
+        by_pivot = self._by_pivot
+        hits = [(by_pivot[piv], piv, c) for piv, c in x.items() if piv in by_pivot]
         s = lcm(*(row[piv] for row, piv, _ in hits))
         acc = {sup: s * v for sup, v in x.items()}
         for row, piv, c in hits:
@@ -204,7 +211,6 @@ class Subspace:
         return self is other or (
             isinstance(other, Subspace)
             and self.order == other.order
-            and self._pivots == other._pivots
             and self._rows == other._rows
         )
 

@@ -1,0 +1,171 @@
+"""Golden CLI digest: `pipeline` on both routes and `limit`, byte for byte.
+
+A small seeded set of subspace records is built here, with integer images
+computed by this file's own minors, and written under relative names.  Each
+call's (argv, exit code, stdout, stderr) is hashed; the digests must equal
+the ones recorded in ``golden_cli.json``.  A change that is meant to keep the
+output bytes must leave them alone; on a mismatch the test names the first
+call that differs.  After a change that is meant to alter the output,
+rewrite the file with ``python tests/test_golden_cli.py`` from the root of a
+source checkout.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+SEED = 20261019
+SHAPES = ((5, 2), (6, 3), (7, 3))
+
+
+def _det(m):
+    """Determinant of a small square integer matrix, by the Leibniz formula."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        prod = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            prod *= m[r][c]
+        total += prod
+    return total
+
+
+def _unimodular(rng, n):
+    """Lower unit triangular times upper unit triangular, entries in [-2, 2]."""
+    low = [[1 if r == c else (rng.randint(-2, 2) if r > c else 0) for c in range(n)] for r in range(n)]
+    up = [[1 if r == c else (rng.randint(-2, 2) if r < c else 0) for c in range(n)] for r in range(n)]
+    return [[sum(low[r][t] * up[t][c] for t in range(n)) for c in range(n)] for r in range(n)]
+
+
+def _text(terms):
+    """Multivector text of an integer term map over supports."""
+    parts = []
+    for sup, c in sorted(terms.items()):
+        parts.append(f"{'-' if c < 0 else '+'} {abs(c)}*" + "^".join(f"e{i}" for i in sup))
+    return " ".join(parts) if parts else "0"
+
+
+def _image(g, sup, k):
+    """The image of e_sup under the map whose column j is g e_j: the
+    coefficient at e_B is the minor of g at rows B and columns sup."""
+    n = len(g)
+    terms = {}
+    for rows in itertools.combinations(range(1, n + 1), k):
+        v = _det([[g[r - 1][c - 1] for c in sup] for r in rows])
+        if v:
+            terms[rows] = v
+    return terms
+
+
+def _intersecting(rng, n, k, target):
+    pool = list(itertools.combinations(range(1, n + 1), k))
+    rng.shuffle(pool)
+    chosen = []
+    for s in pool:
+        if len(chosen) < target and all(set(s) & set(t) for t in chosen):
+            chosen.append(s)
+    return chosen
+
+
+def _is_shifted(sets):
+    fam = set(sets)
+    return all(
+        tuple(sorted((set(s) - {i}) | {j})) in fam
+        for s in fam for i in s for j in range(1, i) if j not in s
+    )
+
+
+def _records(rng):
+    """Named subspace records: images of intersecting families and of a
+    star, monomial spans of non-shifted intersecting families, and one
+    image of a family that is not intersecting."""
+    out = []
+    for n, k in SHAPES:
+        star = [s for s in itertools.combinations(range(1, n + 1), k) if 1 in s]
+        kinds = [("image", _intersecting(rng, n, k, rng.randint(2, len(star)))) for _ in range(2)]
+        kinds.append(("star", star))
+        for _ in range(2):
+            sets = _intersecting(rng, n, k, rng.randint(3, len(star)))
+            while _is_shifted(sets):
+                sets = _intersecting(rng, n, k, rng.randint(3, len(star)))
+            kinds.append(("monomial", sets))
+        kinds.append(("disjoint", [tuple(range(1, k + 1)), tuple(range(k + 1, 2 * k + 1))]))
+        for pos, (kind, sets) in enumerate(kinds):
+            if kind == "monomial":
+                basis = [_text({s: 1}) for s in sets]
+            else:
+                g = _unimodular(rng, n)
+                basis = [_text(_image(g, s, k)) for s in sets]
+            order = ("lex", "weight2")[pos % 2]
+            out.append((f"{kind}-{n}-{k}-{pos}.json", {"n": n, "k": k, "order": order, "basis": basis}))
+    return out
+
+
+def _calls(rng, records):
+    calls = []
+    for name, rec in records:
+        calls.append(["pipeline", name, "--route", "iterate"])
+        calls.append(["pipeline", name, "--route", "init-then-shift"])
+        for _ in range(2):
+            i, j = rng.sample(range(1, rec["n"] + 1), 2)
+            calls.append(["limit", name, "--pair", f"{i},{j}"])
+    return calls
+
+
+def call_digests(workdir):
+    """Write the records into workdir and run every call there; return one
+    (argv, sha256) per input file and per call, in order."""
+    from wedgeshift.cli import main
+
+    rng = random.Random(SEED)
+    records = _records(rng)
+    out = []
+    for name, rec in records:
+        text = json.dumps(rec)
+        (Path(workdir) / name).write_text(text)
+        out.append((["write", name], hashlib.sha256(text.encode()).hexdigest()))
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in _calls(rng, records):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(list(argv))
+            blob = json.dumps([argv, code, stdout.getvalue(), stderr.getvalue()])
+            out.append((argv, hashlib.sha256(blob.encode()).hexdigest()))
+    finally:
+        os.chdir(here)
+    return out
+
+
+def total(digests):
+    return hashlib.sha256("".join(d for _, d in digests).encode()).hexdigest()
+
+
+def test_cli_bytes_match_the_recorded_digest(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    got = call_digests(tmp_path)
+    assert [argv for argv, _ in got] == [argv for argv, _ in golden["calls"]], "the call list changed"
+    for (argv, d), (_, want) in zip(got, golden["calls"]):
+        if d != want:
+            pytest.fail(f"first call that differs: {' '.join(argv)}")
+    assert total(got) == golden["digest"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = call_digests(tmp)
+    GOLDEN.write_text(json.dumps({"digest": total(digests), "calls": digests}, indent=1) + "\n")
+    print(f"{len(digests)} entries, digest {total(digests)}")

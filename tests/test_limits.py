@@ -34,6 +34,7 @@ from wedgeshift import (
     star_family,
     triangular_fixed_point,
 )
+from wedgeshift.limits import ROUTES, _status
 from wedgeshift.sampling import random_invertible, random_rational, random_subspace
 from wedgeshift.subspace import _lift, _pluecker_vector
 
@@ -593,3 +594,157 @@ class TestInitThenShiftDifferential:
                 assert [st.record() for st in trace] == records
                 kinds.update(st.kind for st in trace)
         assert kinds["comb_shift"] and kinds["init"]
+
+
+def _gale_down_set(n, k, generators):
+    """Every k-subset lying below some generator componentwise: a shifted family."""
+    return [s for s in itertools.combinations(range(1, n + 1), k)
+            if any(all(a <= b for a, b in zip(s, g)) for g in generators)]
+
+
+class TestShiftedIsFixed:
+    """The stop rule's oracle: a monomial span is fixed by limit_shift under
+    every decreasing pair exactly when its support family is shifted."""
+
+    def test_fixed_by_every_decreasing_shear_iff_shifted(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def families(draw):
+            n = draw(st.integers(2, 7))
+            k = draw(st.integers(1, n - 1))
+            supports = list(itertools.combinations(range(1, n + 1), k))
+            picks = draw(st.lists(st.sampled_from(supports), min_size=1, max_size=4, unique=True))
+            sets = _gale_down_set(n, k, picks) if draw(st.booleans()) else picks
+            return draw(st.sampled_from(["lex", "weight2"])), n, k, sets
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(families())
+        def check(case):
+            kind, n, k, sets = case
+            V = monomial_span(n, k, sets, kind)
+            moved = [p for p in decreasing_pairs(n) if limit_shift(V, p) != V]
+            assert (not moved) == is_shifted(SetFamily(n, k, tuple(sets))), (kind, sets, moved)
+
+        check()
+
+
+def parent_triangular_fixed_point(V, route="init-then-shift", max_rounds=None):
+    """The drive without the stop rule: round-robin limit_shift until a whole
+    round changes nothing, under the same round cap."""
+    if V.is_zero:
+        return V, []
+    steps = []
+    current = V
+    if route == "init-then-shift":
+        current = initial_subspace(V)
+        mono, shif = _status(current)
+        if current != V:
+            steps.append({"step": 0, "kind": "init", "pair": None, "dim": current.dim,
+                          "monomial": mono, "shifted": shif})
+        assert mono
+    kind = "limit_shift" if route == "iterate" else "comb_shift"
+    cap = 10 * V.n * V.n if max_rounds is None else max_rounds
+    for _ in range(cap):
+        changed = False
+        for p in decreasing_pairs(V.n):
+            moved = limit_shift(current, p)
+            if moved != current:
+                current, changed = moved, True
+                mono, shif = _status(current)
+                steps.append({"step": len(steps), "kind": kind, "pair": [p.i, p.j],
+                              "dim": current.dim, "monomial": mono, "shifted": shif})
+        if not changed:
+            break
+    else:
+        raise IterationLimitError(
+            f"no fixed point after {cap} round-robin rounds ({len(steps)} applied steps)"
+        )
+    return current, steps
+
+
+def _drive_outcome(drive, V, route, max_rounds):
+    try:
+        W, trace = drive(V, route=route, max_rounds=max_rounds)
+    except IterationLimitError as exc:
+        return "raises", str(exc)
+    return W, [st if isinstance(st, dict) else st.record() for st in trace]
+
+
+class TestShiftedStop:
+    def test_matches_the_drive_without_the_stop_rule(self, rng):
+        cases = []
+        for n, k in ((4, 2), (5, 2), (5, 3)):
+            for kind in ("lex", "weight2"):
+                order = MonomialOrder(kind, n, k)
+                for _ in range(3):
+                    F = random_intersecting_family(rng, n, k)
+                    g = random_upper_triangular(rng, n)
+                    cases.append(span([apply_linear(g, Multivector.monomial(n, s)) for s in F.sets],
+                                      order))
+                    sets = rng.sample(list(itertools.combinations(range(1, n + 1), k)),
+                                      rng.randint(1, 4))
+                    cases.append(monomial_span(n, k, sets, kind))
+                cases.append(random_subspace(rng, order, 2))
+        raised = Counter()
+        for V in cases:
+            for route in ROUTES:
+                for max_rounds in (0, 1, 2, 3, None):
+                    got = _drive_outcome(triangular_fixed_point, V, route, max_rounds)
+                    want = _drive_outcome(parent_triangular_fixed_point, V, route, max_rounds)
+                    assert got == want, (V, route, max_rounds)
+                    raised[max_rounds] += got[0] == "raises"
+        # every zero-round drive reaches the cap, and a one-round cap is
+        # reached by some drives and not by others
+        assert raised[0] == 2 * len(cases) and 0 < raised[1] < 2 * len(cases) and not raised[None]
+
+    def test_round_cap_counts_the_round_that_reaches_a_shifted_state(self):
+        # (2,1), (3,2), (4,3) in round one make {12, 13}, shifted at its last pair
+        V = monomial_span(4, 2, [(2, 3), (2, 4)])
+        for route in ROUTES:
+            with pytest.raises(IterationLimitError):
+                triangular_fixed_point(V, route=route, max_rounds=1)
+            W, trace = triangular_fixed_point(V, route=route, max_rounds=2)
+            assert W.monomial_basis() == SetFamily(4, 2, ((1, 2), (1, 3)))
+            assert trace[-1].shifted and not any(st.shifted for st in trace[:-1])
+
+    def _counted(self, monkeypatch):
+        import wedgeshift.limits as limits
+
+        calls = []
+
+        def counting(V, pair):
+            calls.append(V)
+            return limit_shift(V, pair)
+
+        monkeypatch.setattr(limits, "limit_shift", counting)
+        return calls
+
+    def test_star_makes_no_limit_call(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        for n, k in ((5, 2), (6, 3)):
+            for kind in ("lex", "weight2"):
+                V = monomial_span(n, k, star_family(n, k, 1).sets, kind)
+                for route in ROUTES:
+                    W, trace = triangular_fixed_point(V, route=route)
+                    assert W == V and trace == [] and calls == []
+
+    def test_no_limit_call_on_a_shifted_state(self, rng, monkeypatch):
+        calls = self._counted(monkeypatch)
+        for n, k in ((5, 2), (6, 3)):
+            order = MonomialOrder("lex", n, k)
+            for _ in range(3):
+                F = random_intersecting_family(rng, n, k)
+                g = random_invertible(rng, n)
+                image = span([apply_linear(g, Multivector.monomial(n, s)) for s in F.sets], order)
+                for V in (image, monomial_span(n, k, F.sets)):
+                    for route in ROUTES:
+                        calls.clear()
+                        W, trace = triangular_fixed_point(V, route=route)
+                        shifted_states = [st.state for st in trace if st.shifted]
+                        assert len(shifted_states) <= 1
+                        assert all(C is not S for C in calls for S in shifted_states)
+                        for C in calls:
+                            fam = C.monomial_basis()
+                            assert fam is None or not is_shifted(fam)

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -175,6 +176,61 @@ class TestContains:
 
     def test_zero_member(self, mv):
         assert not span([mv(3, "e1^e2")])._residue({})[0]
+
+
+def scan_residue(V, x):
+    """The residue by a scan of every canonical row, each row's pivot read
+    off the row itself: the reference for the pivot look-up."""
+    hits = [(row, piv, x[piv]) for row in V._rows for piv in [min(row, key=V.order.key)]
+            if piv in x]
+    s = math.lcm(*(row[piv] for row, piv, _ in hits))
+    acc = {sup: s * v for sup, v in x.items()}
+    for row, piv, c in hits:
+        f = c * (s // row[piv])
+        for sup, v in row.items():
+            w = acc.get(sup, 0) - f * v
+            if w:
+                acc[sup] = w
+            else:
+                del acc[sup]
+    return acc, s
+
+
+class TestResidueDifferential:
+    def test_lookup_matches_the_row_scan(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeff = st.integers(-6, 6)
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(2, 7))
+            k = draw(st.integers(1, n - 1))
+            order = MonomialOrder(draw(st.sampled_from(["lex", "weight2"])), n, k)
+            supports = list(itertools.combinations(range(1, n + 1), k))
+            terms = st.dictionaries(st.sampled_from(supports), coeff.filter(bool), max_size=6)
+            V = Subspace(order, [Multivector(n, t) for t in draw(st.lists(terms, max_size=5))])
+            xs = draw(st.lists(terms, max_size=3))
+            for _ in range(draw(st.integers(0, 3))):
+                # a combination of the rows plus a little noise: many hits
+                acc = draw(terms)
+                for row in V._rows:
+                    c = draw(coeff)
+                    for sup, v in row.items():
+                        acc[sup] = acc.get(sup, 0) + c * v
+                xs.append({sup: v for sup, v in acc.items() if v})
+            for p in decreasing_pairs(n):
+                xs.extend(shift_map(Multivector._trusted(n, row), p).terms for row in V._rows)
+            return V, xs
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(cases())
+        def check(case):
+            V, xs = case
+            for x in xs:
+                assert V._residue(x) == scan_residue(V, x), (V, x)
+
+        check()
 
 
 class TestSumIntersect:
