@@ -1,13 +1,16 @@
-"""Golden CLI digest: `pipeline` on both routes and `limit`, byte for byte.
+"""Golden CLI digests of every verb that reads a record or a literal, byte for byte.
 
-A small seeded set of subspace records is built here, with integer images
-computed by this file's own minors, and written under relative names.  Each
-call's (argv, exit code, stdout, stderr) is hashed; the digests must equal
-the ones recorded in ``golden_cli.json``.  A change that is meant to keep the
-output bytes must leave them alone; on a mismatch the test names the first
-call that differs.  After a change that is meant to alter the output,
-rewrite the file with ``python tests/test_golden_cli.py`` from the root of a
-source checkout.
+A small seeded set of subspace and family records is built here, with
+integer images computed by this file's own minors, and written under
+relative names.  Each call's (argv, exit code, stdout, stderr) is hashed.
+``golden_cli.json`` holds the digests of `pipeline` on both routes and
+`limit`; ``golden_cli_readers.json`` those of `init` (both orders),
+`annihilator`, `factor`, `oracle-pluecker FILE`, `verify-family` and
+`shift`, plus exit-1 calls on malformed rows.  A change that is meant to
+keep the output bytes must leave them alone; on a mismatch the test names
+the first call that differs.  After a change that is meant to alter the
+output, rewrite both files with ``python tests/test_golden_cli.py`` from the
+root of a source checkout.
 """
 
 import contextlib
@@ -23,7 +26,9 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+READERS_GOLDEN = Path(__file__).with_name("golden_cli_readers.json")
 SEED = 20261019
+READERS_SEED = 20261020
 SHAPES = ((5, 2), (6, 3), (7, 3))
 
 
@@ -121,22 +126,76 @@ def _calls(rng, records):
     return calls
 
 
-def call_digests(workdir):
-    """Write the records into workdir and run every call there; return one
+def _families(rng):
+    """Named family records: shifted intersecting families (a star and the
+    sets meeting {1, 2, 3} at least twice), random intersecting families
+    that need not be shifted, and one family that is not intersecting."""
+    out = []
+    for n, k in SHAPES:
+        sets = list(itertools.combinations(range(1, n + 1), k))
+        kinds = [
+            ("star", [s for s in sets if 1 in s]),
+            ("triangle", [s for s in sets if len(set(s) & {1, 2, 3}) >= 2]),
+            ("random", sorted(_intersecting(rng, n, k, rng.randint(3, 8)))),
+            ("random", sorted(_intersecting(rng, n, k, rng.randint(3, 8)))),
+            ("disjoint", [tuple(range(1, k + 1)), tuple(range(k + 1, 2 * k + 1))]),
+        ]
+        for pos, (kind, fam) in enumerate(kinds):
+            out.append((f"family-{kind}-{n}-{k}-{pos}.json", {"n": n, "k": k, "sets": [list(s) for s in fam]}))
+    return out
+
+
+# Records whose rows break the reader's contract, each an exit-1 call: a bad
+# term, a mixed-grade row, a row of the wrong grade, an out-of-range support,
+# and a wrong-grade row before a later row that does not parse (the parse
+# error wins).
+BAD_RECORDS = (
+    ("bad-term.json", {"n": 5, "k": 2, "basis": ["e1^e2", "e1^e3 + 2**e4^e5"]}),
+    ("bad-mixed.json", {"n": 5, "k": 2, "basis": ["e1^e2 - 1/2*e3^e4", "e1^e3 + 3/4*e2"]}),
+    ("bad-grade.json", {"n": 5, "k": 2, "basis": ["e1^e2", "e2^e3", "7/2*e4 - e5"]}),
+    ("bad-range.json", {"n": 5, "k": 2, "basis": ["e1^e2", "e2^e3 - 5/6*e1^e9"]}),
+    ("bad-order.json", {"n": 5, "k": 2, "basis": ["e1^e2^e3", "e1^e2 + 1/0*e3^e4"]}),
+)
+
+
+def _reader_calls(rng, records, families):
+    calls = []
+    for name, rec in records:
+        n = rec["n"]
+        calls.append(["init", name, "--order", "lex"])
+        calls.append(["init", name, "--order", "weight2"])
+        calls.append(["annihilator", name])
+        calls.append(["factor", "--n", str(n), "--", rec["basis"][0]])
+        if len(rec["basis"]) <= 4:
+            i, j = rng.sample(range(1, n + 1), 2)
+            calls.append(["oracle-pluecker", name, "--pair", f"{i},{j}"])
+    for name, rec in families:
+        calls.append(["verify-family", name])
+        i, j = rng.sample(range(1, rec["n"] + 1), 2)
+        calls.append(["shift", name, "--pair", f"{i},{j}"])
+    for name, _ in BAD_RECORDS:
+        calls.append(["pipeline", name])
+        calls.append(["init", name, "--order", "weight2"])
+    calls.append(["factor", "--n", "5", "--", "e1^e2 - 2**e3"])
+    calls.append(["factor", "--n", "5", "--", "1/2*e1^e2 + e4^e9"])
+    calls.append(["factor", "--n", "5", "--", "2/3*e3^e1 - 1/6*e2^e1 + 5/4*e1^e4"])
+    return calls
+
+
+def _run(workdir, files, calls):
+    """Write the files into workdir and run every call there; return one
     (argv, sha256) per input file and per call, in order."""
     from wedgeshift.cli import main
 
-    rng = random.Random(SEED)
-    records = _records(rng)
     out = []
-    for name, rec in records:
+    for name, rec in files:
         text = json.dumps(rec)
         (Path(workdir) / name).write_text(text)
         out.append((["write", name], hashlib.sha256(text.encode()).hexdigest()))
     here = os.getcwd()
     os.chdir(workdir)
     try:
-        for argv in _calls(rng, records):
+        for argv in calls:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(list(argv))
@@ -147,13 +206,28 @@ def call_digests(workdir):
     return out
 
 
+def call_digests(workdir):
+    """Digests of `pipeline` and `limit` over the seeded subspace records."""
+    rng = random.Random(SEED)
+    records = _records(rng)
+    return _run(workdir, records, _calls(rng, records))
+
+
+def reader_call_digests(workdir):
+    """Digests of the other reading verbs over their own seeded records."""
+    rng = random.Random(READERS_SEED)
+    records = _records(rng)
+    families = _families(rng)
+    calls = _reader_calls(rng, records, families)
+    return _run(workdir, records + families + list(BAD_RECORDS), calls)
+
+
 def total(digests):
     return hashlib.sha256("".join(d for _, d in digests).encode()).hexdigest()
 
 
-def test_cli_bytes_match_the_recorded_digest(tmp_path):
-    golden = json.loads(GOLDEN.read_text())
-    got = call_digests(tmp_path)
+def assert_matches(golden_path, got):
+    golden = json.loads(golden_path.read_text())
     assert [argv for argv, _ in got] == [argv for argv, _ in golden["calls"]], "the call list changed"
     for (argv, d), (_, want) in zip(got, golden["calls"]):
         if d != want:
@@ -161,11 +235,20 @@ def test_cli_bytes_match_the_recorded_digest(tmp_path):
     assert total(got) == golden["digest"]
 
 
+def test_cli_bytes_match_the_recorded_digest(tmp_path):
+    assert_matches(GOLDEN, call_digests(tmp_path))
+
+
+def test_reading_verbs_match_the_recorded_digest(tmp_path):
+    assert_matches(READERS_GOLDEN, reader_call_digests(tmp_path))
+
+
 if __name__ == "__main__":
     import tempfile
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = call_digests(tmp)
-    GOLDEN.write_text(json.dumps({"digest": total(digests), "calls": digests}, indent=1) + "\n")
-    print(f"{len(digests)} entries, digest {total(digests)}")
+    for path, make in ((GOLDEN, call_digests), (READERS_GOLDEN, reader_call_digests)):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = make(tmp)
+        path.write_text(json.dumps({"digest": total(digests), "calls": digests}, indent=1) + "\n")
+        print(f"{path.name}: {len(digests)} entries, digest {total(digests)}")
