@@ -169,7 +169,7 @@ def _run_limit(args) -> int:
 def _run_init(args) -> int:
     V = _need_subspace(parse_input(args.input), "init")
     if args.order and args.order != V.order.kind:
-        V = Subspace(MonomialOrder(args.order, V.n, V.k), V._rows)
+        V = Subspace._trusted(MonomialOrder(args.order, V.n, V.k), V._rows)
     _emit(subspace_record(initial_subspace(V)))
     return 0
 

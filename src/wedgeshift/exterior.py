@@ -16,8 +16,12 @@ form and stay in integers.
 
 The canonical text form orders terms by lexicographic support and writes each
 as ``c*e{i}^e{j}...`` with unit coefficients omitted, e.g.
-``e1^e2^e3 - 1/2*e4^e5^e6``.  ``parse_multivector`` reads it, and looser text,
-in one pass: one full match and one Fraction per term, validated once.
+``e1^e2^e3 - 1/2*e4^e5^e6``.  The reader has one integer core too:
+``parse_terms`` reads it, and looser text, with one regular-expression pass
+per text, and returns the terms as integers over one common denominator, the
+lcm of the term denominators; index runs are looked up in a bounded cache of
+their sorted supports and signs.  ``parse_multivector`` wraps that in one
+Fraction per output term; a record's subspace rows stay integer maps.
 """
 
 from __future__ import annotations
@@ -335,14 +339,35 @@ def format_multivector(x: Multivector) -> str:
     return "".join(parts)
 
 
-# Signed chunks between + and - signs; a term's numerator, denominator, "*"
-# or end of term, index run, and what is left over.
-_SIGNED_RE = re.compile(r"([+-]?)([^+-]*)")
-_TERM_RE = re.compile(r"(?:([0-9]+)(?:/([0-9]+))?(\*|\Z))?((?:e[0-9]+(?:\^e[0-9]+)*)?)(.*)", re.S)
+# Both match the text with its spaces removed.  A term is a sign and what
+# follows it up to the next sign; its body, that stretch stripped of
+# whitespace, holds a numerator, denominator, "*" or end of term, index run,
+# and what is left over.  A dangling sign is a minus whose body is empty.
+_TERM_RE = re.compile(
+    r"([+-]?)\s*((?:([0-9]+)(?:/([0-9]+))?(\*|(?=\s*(?:[+-]|\Z))))?"
+    r"((?:e[0-9]+(?:\^e[0-9]+)*)?)([^+-]*?))\s*(?=[+-]|\Z)"
+)
+_DANGLING_RE = re.compile(r"-\s*(?:[+-]|\Z)")
 
 
-def parse_multivector(text: str, n: int) -> Multivector:
-    """Read a sum of signed terms ``p``, ``p/q``, ``e<i>^e<j>...`` or ``p[/q]*e...``.
+@lru_cache(maxsize=4096)
+def _run_support(run: str) -> tuple[Optional[Support], bool]:
+    """The sorted support of an index run ``e<i>^e<j>...`` and whether
+    sorting it is an odd permutation; None for a repeated index.  Inversions
+    are counted only when the run is not already increasing."""
+    idx = [int(i) for i in run[1:].split("^e")] if run else []
+    ordered = sorted(set(idx))
+    if len(ordered) < len(idx):
+        return None, False
+    odd = ordered != idx and sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:]) % 2 == 1
+    return tuple(ordered), odd
+
+
+def parse_terms(text: str, n: int) -> tuple[dict[Support, int], int]:
+    """Read a sum of signed terms ``p``, ``p/q``, ``e<i>^e<j>...`` or
+    ``p[/q]*e...`` as integers over one common denominator: (terms, d) with
+    the value at each support times d, d the lcm of the term denominators,
+    and terms that cancel dropped.
 
     Digits are ASCII, spaces inside a term are ignored, an unsorted index run
     is normalized by parity, and terms on one support add.  Faults, in order:
@@ -353,18 +378,18 @@ def parse_multivector(text: str, n: int) -> Multivector:
     s = text.strip()
     if not s:
         raise ParseError("empty multivector text")
-    chunks = [(sign, body.replace(" ", "").strip()) for sign, body in _SIGNED_RE.findall(s)]
-    if any(sign == "-" and not body for sign, body in chunks):
+    t = s.replace(" ", "")
+    if _DANGLING_RE.search(t):
         raise ParseError(f"dangling sign in {s!r}")
-    acc: dict[Support, Fraction] = {}
+    read: list[tuple[Support, int, int]] = []
     outside = None
-    for pos, (sign, body) in enumerate([c for c in chunks if c[1]], 1):
-        num, den, star, run, rest = _TERM_RE.fullmatch(body).groups()
-        if num is None and "*" in body:
+    terms = [m for m in _TERM_RE.findall(t) if m[1]]
+    for pos, (sign, body, num, den, star, run, rest) in enumerate(terms, 1):
+        if not num and "*" in rest:
             raise ParseError(f"bad coefficient in term {body!r}")
         try:
             p, q = int(num or 1), int(den or 1)
-            idx = [int(i) for i in run[1:].split("^e")] if run else []
+            sup, odd = _run_support(run)
         except ValueError:  # only a digit run past sys.get_int_max_str_digits() fails
             limit = sys.get_int_max_str_digits()
             raise ParseError(f"term #{pos} has a number of more than {limit} digits") from None
@@ -372,18 +397,26 @@ def parse_multivector(text: str, n: int) -> Multivector:
             raise ParseError(f"zero denominator in term {body!r}")
         if rest or (star and not run):
             raise ParseError(f"bad monomial in term {body!r}")
-        sup = tuple(sorted(idx))
-        if len(set(sup)) < len(sup):
+        if sup is None:
             raise ParseError(f"repeated index in term {body!r}")
-        flips = (sign == "-") + sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:])
-        c = Fraction(-p if flips % 2 else p, q)
-        acc[sup] = c = acc[sup] + c if sup in acc else c
-        if not c:
-            del acc[sup]
+        read.append((sup, -p if (sign == "-") ^ odd else p, q))
         if outside is None and sup and (sup[0] < 1 or sup[-1] > n):
             outside = sup
     if n < 1:
         raise ParseError("ground dimension must be positive")
     if outside is not None:
         raise ParseError(f"support {outside} out of range for ground dimension {n}")
-    return Multivector._trusted(n, acc)
+    d = lcm(*(q for _, _, q in read))
+    acc: dict[Support, int] = {}
+    for sup, p, q in read:
+        v = p * (d // q)
+        acc[sup] = v = acc[sup] + v if sup in acc else v
+        if not v:
+            del acc[sup]
+    return acc, d
+
+
+def parse_multivector(text: str, n: int) -> Multivector:
+    """Read multivector text (see ``parse_terms``): one Fraction per term."""
+    terms, d = parse_terms(text, n)
+    return Multivector._trusted(n, {sup: Fraction(v, d) for sup, v in terms.items()})

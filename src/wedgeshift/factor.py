@@ -38,7 +38,7 @@ def _annihilator(n: int, vectors: Sequence[Mapping[Support, int]]) -> Subspace:
                 col[(pos, sup)] = c
         columns.append(col)
     kernel = [{(i + 1,): c for i, c in enumerate(vec) if c} for vec in column_kernel(columns)]
-    return Subspace(MonomialOrder("lex", n, 1), kernel)
+    return Subspace._trusted(MonomialOrder("lex", n, 1), kernel)
 
 
 def linear_factors(v: Multivector) -> Subspace:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Iterator, Mapping, Optional, Union
 
 from .errors import FalsificationError, IterationLimitError
 from .exterior import Multivector, Support, wedge_core
@@ -71,7 +71,7 @@ def limit_shift(V: Subspace, pair: PairLike) -> Subspace:
     members = V._members_mapped_into(images)
     if len(members) == V.dim:
         return V
-    out = Subspace(V.order, images + members)
+    out = Subspace._trusted(V.order, images + members)
     if out.dim != V.dim:
         raise FalsificationError(
             f"shear limit changed dimension: {V.dim} -> {out.dim} at pair ({p.i}, {p.j})"
@@ -83,8 +83,7 @@ def initial_subspace(V: Subspace) -> Subspace:
     """Span of the pivot monomials of the canonical rows: the limit of the
     weight-diagonal action under V's own coordinate order.  Always a monomial
     subspace of the same dimension."""
-    rows = [Multivector.monomial(V.n, piv) for piv in V.pivots()]
-    return Subspace(V.order, rows)
+    return Subspace._trusted(V.order, [{piv: 1} for piv in V.pivots()])
 
 
 def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
@@ -150,9 +149,17 @@ class TraceStep:
         }
 
 
+def _walk_pairs(n: int) -> Iterator[ShiftPair]:
+    """Every pair (i, j) with i > j, ordered lexicographically by (j, i), made
+    one at a time."""
+    for j in range(1, n):
+        for i in range(j + 1, n + 1):
+            yield ShiftPair(i, j)
+
+
 def decreasing_pairs(n: int) -> list[ShiftPair]:
     """All pairs (i, j) with i > j, ordered lexicographically by (j, i)."""
-    return [ShiftPair(i, j) for j in range(1, n) for i in range(j + 1, n + 1)]
+    return list(_walk_pairs(n))
 
 
 def _status(V: Subspace) -> tuple[bool, bool]:
@@ -186,14 +193,14 @@ def triangular_fixed_point(
     a round within the cap, so a state first shifted during the last
     allowed round still raises.  The result has a monomial basis whose
     support family is shifted, and the trace lists every applied step.
-    The zero subspace is returned as is, with an empty trace, before any
-    pair is listed."""
+    The pairs are walked one at a time, never listed, so a state that is
+    shifted on entry costs no pair at all; the zero subspace is returned as
+    is, with an empty trace."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if V.is_zero:  # every map fixes the zero subspace: no pairs, no steps
         return V, []
     n = V.n
-    pairs = decreasing_pairs(n)
     steps: list[TraceStep] = []
     current = initial_subspace(V) if route == "init-then-shift" else V
     mono, shif = _status(current)
@@ -207,7 +214,7 @@ def triangular_fixed_point(
         if shif:
             break
         changed = False
-        for p in pairs:
+        for p in _walk_pairs(n):
             moved = limit_shift(current, p)
             if moved != current:
                 current = moved

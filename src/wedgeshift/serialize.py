@@ -5,7 +5,10 @@ sorted sets; subspaces as ``{n, k, order, basis}`` with canonical text rows.
 A record comes from a file or inline JSON text.  Reading is where outside
 input is checked: it re-canonicalizes (a subspace file may hold any spanning
 set) and rejects invariant violations with positioned messages, so malformed
-input ends in a ParseError, never a traceback.
+input ends in a ParseError, never a traceback.  Subspace rows are read as
+integer term maps (``parse_terms``), checked for grade k once every row has
+parsed, and spanned through ``Subspace._trusted`` with no Multivector or
+Fraction in between.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ParseError
-from .exterior import format_multivector, parse_multivector
+from .exterior import format_multivector, parse_terms
 from .families import SetFamily
-from .subspace import MonomialOrder, ORDER_KINDS, Subspace
+from .subspace import MonomialOrder, ORDER_KINDS, Subspace, _check_grade
 
 
 def _is_int(x) -> bool:
@@ -84,13 +87,15 @@ def subspace_from_record(obj: dict) -> Subspace:
         if not isinstance(text, str):
             raise ParseError(f"basis row #{pos + 1} is not a string")
         try:
-            rows.append(parse_multivector(text, obj["n"]))
+            rows.append(parse_terms(text, obj["n"])[0])
         except ParseError as exc:
             raise ParseError(f"basis row #{pos + 1}: {exc}") from exc
     try:
-        return Subspace(order, rows)
+        for row in rows:
+            _check_grade(order, row)
     except ValueError as exc:
         raise ParseError(f"basis rows violate the subspace contract: {exc}") from exc
+    return Subspace._trusted(order, rows)
 
 
 def _decode(text: str, what: str):

@@ -24,7 +24,7 @@ from math import comb, lcm
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, GroundMismatchError, HomogeneityError
-from .exterior import Multivector, Support, wedge
+from .exterior import Multivector, Rational, Support, wedge
 from .families import SetFamily
 from .linalg import column_kernel, rref
 
@@ -70,41 +70,71 @@ class PlueckerVector:
     items: tuple[tuple[tuple[Support, ...], Fraction], ...]
 
 
-class Subspace:
+def _check_grade(order: MonomialOrder, supports: Iterable[Support]) -> None:
+    """HomogeneityError unless the supports of one spanning vector's terms
+    all have grade order.k (or there are none)."""
+    grades = {len(sup) for sup in supports}
+    if len(grades) > 1:
+        raise HomogeneityError("spanning vectors must be homogeneous")
+    for g in grades:
+        if g != order.k:
+            raise HomogeneityError(f"spanning vector of grade {g}, order expects {order.k}")
+
+
+def _checked_terms(order: MonomialOrder, v: Union[Multivector, Mapping]) -> Mapping[Support, Fraction]:
+    """The terms of one spanning vector of the public constructor, checked:
+    a term map goes through the checking Multivector constructor (a float
+    value is a TypeError, an unsorted or out-of-range support a ValueError),
+    then ground dimension and grade are checked."""
+    if not isinstance(v, Multivector):
+        v = Multivector(order.n, v)
+    if v.n != order.n:
+        raise GroundMismatchError(f"vector over ground dimension {v.n}, order expects {order.n}")
+    _check_grade(order, v.terms)
+    return v.terms
+
+
+class _CheckedCall(type):
+    """Calling Subspace checks its spanning vectors; __init__ takes them as
+    they are.  Package code that already holds grade-k term maps reaches
+    __init__ through Subspace._trusted, so every construction, checked or
+    not, runs __init__ exactly once."""
+
+    def __call__(cls, order: MonomialOrder, vectors: Iterable[Union[Multivector, Mapping]] = ()):
+        return super().__call__(order, [_checked_terms(order, v) for v in vectors])
+
+
+class Subspace(metaclass=_CheckedCall):
     """Row space in reduced echelon form over an explicit monomial order.
 
-    Construction re-canonicalizes any spanning set: Multivectors, checked
-    here, or the package's own integer term maps of grade k, taken as they
-    are.  Each canonical row is kept primitive with a positive pivot, the
-    one integer form of its pivot-1 row, so equal subspaces have equal rows
-    and pivots; pivot monomials are the order-earliest supports of the rows.
-    One map from each pivot to its row, in coordinate order, serves pivots()
-    and the row look-ups of the residue.
+    Construction re-canonicalizes any spanning set.  The public constructor
+    takes Multivectors or term maps and checks them as the Multivector
+    constructor does (exact values, sorted in-range supports), plus ground
+    dimension and grade k; ``_trusted`` takes the package's own term maps of
+    grade k on sorted, in-range supports unchecked.  Each canonical row is
+    kept primitive with a positive pivot, the one integer form of its
+    pivot-1 row, so equal subspaces have equal rows and pivots; pivot
+    monomials are the order-earliest supports of the rows.  One map from
+    each pivot to its row, in coordinate order, serves pivots() and the row
+    look-ups of the residue.
     """
 
     __slots__ = ("order", "_rows", "_by_pivot", "_fraction_rows")
 
-    def __init__(self, order: MonomialOrder, vectors: Iterable[Union[Multivector, Mapping]] = ()):
-        terms = []
-        for v in vectors:
-            if isinstance(v, Multivector):
-                if v.n != order.n:
-                    raise GroundMismatchError(
-                        f"vector over ground dimension {v.n}, order expects {order.n}"
-                    )
-                if not v.is_homogeneous:
-                    raise HomogeneityError("spanning vectors must be homogeneous")
-                if not v.is_zero and v.grade != order.k:
-                    raise HomogeneityError(
-                        f"spanning vector of grade {v.grade}, order expects {order.k}"
-                    )
-                v = v.terms
-            terms.append(v)
-        rows, pivots = rref(terms, order.key)
+    def __init__(self, order: MonomialOrder, vectors: Iterable[Mapping[Support, Rational]] = ()):
+        rows, pivots = rref(list(vectors), order.key)
         self.order = order
         self._rows = tuple(rows)
         self._by_pivot = dict(zip(pivots, self._rows))
         self._fraction_rows: Optional[tuple[Multivector, ...]] = None
+
+    @classmethod
+    def _trusted(cls, order: MonomialOrder, rows: Iterable[Mapping[Support, Rational]]) -> "Subspace":
+        """Canonical span of grade-k term maps on sorted, in-range supports
+        with int or Fraction values, unchecked."""
+        out = cls.__new__(cls)
+        out.__init__(order, rows)
+        return out
 
     @property
     def rows(self) -> tuple[Multivector, ...]:

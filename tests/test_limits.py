@@ -1,6 +1,9 @@
 """Shear limits, initial degenerations, fixed-point drives, and their oracles."""
 
+import contextlib
+import io
 import itertools
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -34,6 +37,7 @@ from wedgeshift import (
     star_family,
     triangular_fixed_point,
 )
+from wedgeshift.cli import main
 from wedgeshift.limits import ROUTES, _status
 from wedgeshift.sampling import random_invertible, random_rational, random_subspace
 from wedgeshift.subspace import _lift, _pluecker_vector
@@ -536,6 +540,20 @@ class TestTriangularFixedPoint:
         for route in ("iterate", "init-then-shift"):
             W, trace = triangular_fixed_point(V, route=route)
             assert W == V and W.is_zero and trace == []
+
+    def test_shifted_start_walks_no_pair_list(self):
+        # a record shifted on entry needs no pair; listing all n(n-1)/2 pairs
+        # first took 143 MB at n = 1500
+        record = json.dumps({"n": 1500, "k": 1, "basis": ["e1"]})
+        for route in ROUTES:
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["pipeline", record, "--route", route]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, (route, peak)
 
     def test_trace_records(self):
         V = monomial_span(4, 2, [(2, 3), (2, 4), (1, 2)])

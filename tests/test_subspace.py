@@ -1,7 +1,10 @@
 """Canonical subspaces, their calculus, and the Plücker embedding."""
 
+import contextlib
 import functools
+import io
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -25,9 +28,13 @@ from wedgeshift import (
     span,
     wedge,
 )
+import wedgeshift.subspace as subspace
+from wedgeshift.cli import main
+from wedgeshift.ekr import ekr_pipeline
 from wedgeshift.exterior import integer_terms
-from wedgeshift.factor import _annihilator
-from wedgeshift.limits import decreasing_pairs, pluecker_limit, shift_map
+from wedgeshift.factor import _annihilator, common_annihilator, linear_factors
+from wedgeshift.limits import decreasing_pairs, initial_subspace, pluecker_limit, shift_map
+from wedgeshift.serialize import subspace_from_record, subspace_record
 from wedgeshift.sampling import (
     random_multivector,
     random_rational,
@@ -81,6 +88,49 @@ class TestSpan:
                 for other in V.rows:
                     if other is not row:
                         assert piv not in other.terms
+
+
+class TestCheckedDoor:
+    """The public constructor checks raw term maps as Multivector does; the
+    package's own callers go through Subspace._trusted and skip the checks."""
+
+    ORDER = MonomialOrder("lex", 4, 2)
+
+    @pytest.mark.parametrize("bad, error", [
+        ({(1, 9): 1}, ValueError),  # out of range: used to print as e1^e9
+        ({(2, 1): 1}, ValueError),  # unsorted: used to print as e2^e1
+        ({(1, 2, 3): 1}, HomogeneityError),  # grade 3: used to be taken at grade 2
+        ({(1, 2): 0.5}, TypeError),  # a float: used to end in an AttributeError
+    ])
+    def test_bad_maps_rejected(self, bad, error):
+        with pytest.raises(error):
+            Subspace(self.ORDER, [{(1, 2): 1}, bad])
+
+    def test_maps_span_as_multivectors(self):
+        maps = [{(1, 2): 2, (3, 4): Fraction(-1, 3)}, {(1, 3): 1, (1, 2): 4}, {}]
+        V = Subspace(self.ORDER, maps)
+        assert V == Subspace(self.ORDER, [Multivector(4, m) for m in maps])
+        assert V == Subspace._trusted(self.ORDER, maps) and V.dim == 2
+
+    def test_package_callers_skip_the_checks(self, monkeypatch):
+        V = span([Multivector(5, {(1, 2): 1, (3, 4): 2}), Multivector(5, {(1, 3): 1, (2, 5): -1})])
+        record = subspace_record(V)
+        W = span([Multivector(5, {(2, 3): 1}), Multivector(5, {(2, 4): 1})])
+
+        def refuse(order, v):
+            raise AssertionError("a package caller went through the checked constructor")
+
+        monkeypatch.setattr(subspace, "_checked_terms", refuse)
+        assert subspace_from_record(record) == V
+        for p in decreasing_pairs(5):
+            assert limit_shift(V, p).dim == 2
+        assert initial_subspace(V).dim == 2
+        assert common_annihilator(V).dim == 0
+        assert linear_factors(Multivector(5, {(1, 2): 1})).dim == 2
+        for route in ("iterate", "init-then-shift"):
+            assert ekr_pipeline(W, route=route).satisfied
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["init", json.dumps(record), "--order", "weight2"]) == 0
 
 
 def _canonical_cases(st):
