@@ -32,7 +32,6 @@ from .families import (
     is_intersecting,
     is_shifted,
     is_star,
-    star_family,
 )
 from .subspace import MonomialOrder, PlueckerVector, Subspace, span
 from .limits import (
@@ -41,7 +40,6 @@ from .limits import (
     initial_subspace,
     limit_shift,
     pluecker_limit,
-    shift_map,
     triangular_fixed_point,
 )
 from .ekr import (
@@ -86,7 +84,6 @@ __all__ = [
     "is_intersecting",
     "is_shifted",
     "is_star",
-    "star_family",
     "MonomialOrder",
     "PlueckerVector",
     "Subspace",
@@ -96,7 +93,6 @@ __all__ = [
     "initial_subspace",
     "limit_shift",
     "pluecker_limit",
-    "shift_map",
     "triangular_fixed_point",
     "VerifyReport",
     "ekr_bound",

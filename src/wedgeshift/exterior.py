@@ -42,9 +42,10 @@ Support = tuple[int, ...]
 
 
 def _exact(c: Rational) -> Fraction:
-    """Fraction of an exact coefficient; a float has already lost exactness."""
-    if isinstance(c, float):
-        raise TypeError(f"coefficient {c!r} is a float; pass an int or a Fraction")
+    """Fraction of an exact coefficient: an int or a Fraction.  A float has
+    already lost exactness; a bool, str or Decimal is refused too."""
+    if type(c) is bool or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is a {type(c).__name__}; pass an int or a Fraction")
     return Fraction(c)
 
 
@@ -104,11 +105,6 @@ class Multivector:
     @classmethod
     def zero(cls, n: int) -> "Multivector":
         return cls(n)
-
-    @classmethod
-    def basis(cls, n: int, i: int) -> "Multivector":
-        """The grade-one basis vector e_i."""
-        return cls(n, {(i,): 1})
 
     @classmethod
     def monomial(cls, n: int, support: Sequence[int], coeff: Rational = 1) -> "Multivector":
@@ -268,8 +264,8 @@ def wedge(x: Multivector, y: Multivector, *more: Multivector) -> Multivector:
 class LinearMap:
     """Exact square matrix acting on grade one; column j holds the image of e_j.
 
-    Entries are row-major with 0-based internal indexing; the public accessor
-    ``entry`` takes 1-based indices to match basis-vector names.
+    Entries are row-major Fractions with 0-based indexing: ``entries[r - 1][c - 1]``
+    is the coefficient of e_r in the image of e_c.
     """
 
     __slots__ = ("n", "entries")
@@ -281,9 +277,6 @@ class LinearMap:
             raise ValueError("entries must form a nonempty square matrix")
         self.n = n
         self.entries = rows
-
-    def entry(self, r: int, c: int) -> Fraction:
-        return self.entries[r - 1][c - 1]
 
     def __call__(self, x: Multivector) -> Multivector:
         return apply_linear(self, x)

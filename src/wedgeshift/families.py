@@ -96,13 +96,6 @@ class SetFamily:
         return at < len(self.sets) and self.sets[at] == s
 
 
-def star_family(n: int, k: int, v: int) -> SetFamily:
-    """All k-subsets of [n] containing v."""
-    rest = [i for i in range(1, n + 1) if i != v]
-    sets = tuple(tuple(sorted((v,) + c)) for c in itertools.combinations(rest, k - 1))
-    return SetFamily(n, k, sets)
-
-
 def is_intersecting(F: SetFamily) -> bool:
     """Every pair of member sets (a set paired with itself included) intersects."""
     if F.k == 0:

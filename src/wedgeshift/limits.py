@@ -19,12 +19,11 @@ in the shear parameter, of the wedge of the sheared rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Any, Iterator, Mapping, Optional, Union
 
 from .errors import FalsificationError, IterationLimitError
-from .exterior import Multivector, Support, wedge_core
+from .exterior import Support, wedge_core
 from .families import ShiftPair, _check_pair, is_shifted
 from .subspace import PlueckerVector, Subspace, _check_pluecker_size, _lift, _pluecker_vector
 
@@ -38,8 +37,11 @@ def _as_pair(pair: PairLike, n: int) -> ShiftPair:
 
 
 def _replaced(terms: Mapping[Support, Any], i: int, j: int) -> dict[Support, Any]:
-    """shift_map on a term map with any coefficients: the image's coefficients
-    are a signed subset of the input's."""
+    """The replacement map on a term map with any coefficients: each monomial
+    with factor e_i goes to the same monomial with e_i replaced by e_j (zero
+    when j is already a factor), and every monomial without i to zero.
+    Applying it twice gives zero.  The image's coefficients are a signed
+    subset of the input's."""
     acc = {}
     for sup, c in terms.items():
         if i not in sup or j in sup:
@@ -49,14 +51,6 @@ def _replaced(terms: Mapping[Support, Any], i: int, j: int) -> dict[Support, Any
         sig = -1 if sum(1 for a in rest if a < j) % 2 else 1
         acc[tuple(sorted(rest + (j,)))] = eps * sig * c  # the target determines sup: no collisions
     return acc
-
-
-def shift_map(x: Multivector, pair: PairLike) -> Multivector:
-    """Linear map sending each monomial with factor e_i to the same monomial with
-    e_i replaced by e_j (zero when j is already a factor), and every monomial
-    without i to zero.  Applying it twice gives zero."""
-    p = _as_pair(pair, x.n)
-    return Multivector._trusted(x.n, _replaced(x.terms, p.i, p.j))
 
 
 def limit_shift(V: Subspace, pair: PairLike) -> Subspace:
@@ -122,8 +116,7 @@ def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
                     del acc[sup]
         by_degree = step
     top = max(deg for deg, c in enumerate(by_degree) if c)
-    product = Multivector._trusted(ncols, {sup: Fraction(v) for sup, v in by_degree[top].items()})
-    return _pluecker_vector(V.order, columns, product)
+    return _pluecker_vector(V.order, columns, by_degree[top])
 
 
 @dataclass(frozen=True)
@@ -229,7 +222,7 @@ def triangular_fixed_point(
         raise IterationLimitError(
             f"no fixed point after {cap} round-robin rounds ({len(steps)} applied steps)"
         )
-    mono, shif = _status(current)
+    # mono and shif hold current's status on every path here
     if not mono:
         raise FalsificationError("fixed point of all decreasing shears lacks a monomial basis")
     if not shif:

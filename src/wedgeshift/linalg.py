@@ -1,20 +1,20 @@
-"""Exact Gauss–Jordan elimination over the rationals: the package's one kernel.
+"""Exact Gauss–Jordan elimination over the integers: the package's one kernel.
 
-Rows are sparse maps ``{column: value}`` over any orderable columns, and the
-pivot of a row is its smallest column under an optional sort key.
-Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
-cleared of denominators once, rows are combined without division and every
-changed row is divided by its content, so the work follows the nonzeros and
-no row is ever widened to all columns.  Each output row is the row's unique
+Rows are sparse integer maps ``{column: value}`` over any orderable columns,
+and the pivot of a row is its smallest column under an optional sort key.
+A caller that holds rational rows scales each one to integers first, which
+keeps the row space and the kernel.  Elimination is fraction-free (Bareiss,
+Math. Comp. 22, 1968): rows are combined without division and every changed
+row is divided by its content, so the work follows the nonzeros and no row
+is ever widened to all columns.  Each output row is the row's unique
 integer form: primitive, with a positive pivot.  Canonical subspace rows and
-kernels both come from ``rref``, and neither builds a Fraction.
+kernels both come from ``rref``, and neither leaves the integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Callable, Hashable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 
 Row = dict[Hashable, int]
 
@@ -40,7 +40,7 @@ def _combine(a: Row, p: int, b: Row, f: int) -> Row:
 
 
 def rref(
-    rows: Sequence[Mapping[Hashable, Union[int, Fraction]]],
+    rows: Sequence[Mapping[Hashable, int]],
     key: Optional[Callable[[Any], Any]] = None,
 ) -> tuple[list[Row], list]:
     """Reduced row echelon form: (nonzero rows, pivot columns), in pivot order.
@@ -49,8 +49,7 @@ def rref(
     so dividing it by its pivot gives the pivot-1 row: one form per span."""
     echelon: dict[Hashable, Row] = {}  # pivot -> primitive row, zero at the other pivots
     for row in rows:
-        d = lcm(*(v.denominator for v in row.values()))
-        cur = _primitive({c: v.numerator * (d // v.denominator) for c, v in row.items() if v})
+        cur = _primitive({c: v for c, v in row.items() if v})
         for c in [c for c in cur if c in echelon]:
             cur = _combine(cur, echelon[c][c], echelon[c], cur[c])
         if not cur:
@@ -70,13 +69,13 @@ def rref(
     return reduced, pivots
 
 
-def column_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> list[list[int]]:
+def column_kernel(columns: Sequence[Mapping[Hashable, int]]) -> list[list[int]]:
     """Integer nullspace basis of the matrix whose columns are sparse coordinate
     maps, in free-column order: one sparse row per coordinate some column
     touches.  The vector of free column f is f's pivot-1 kernel vector times
     the lcm of the pivots it meets.  No columns touching any coordinate
     leaves the whole space."""
-    rows: dict[Hashable, dict[int, Union[int, Fraction]]] = {}
+    rows: dict[Hashable, Row] = {}
     for j, col in enumerate(columns):
         for key, v in col.items():
             rows.setdefault(key, {})[j] = v

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from .exterior import LinearMap, Multivector
 from .linalg import rref
@@ -51,9 +52,11 @@ def random_subspace(
 
 
 def random_invertible(rng: random.Random, n: int, attempts: int = 100) -> LinearMap:
-    """Random n x n map, redrawn until elimination finds n pivots (full rank)."""
+    """Random n x n map, redrawn until elimination of its rows, each scaled
+    to integers, finds n pivots (full rank)."""
     for _ in range(attempts):
         rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
-        if len(rref([dict(enumerate(row)) for row in rows])[1]) == n:
+        scaled = [(row, lcm(*(c.denominator for c in row))) for row in rows]
+        if len(rref([{j: int(c * d) for j, c in enumerate(row)} for row, d in scaled])[1]) == n:
             return LinearMap(rows)
     raise RuntimeError("failed to sample an invertible map")

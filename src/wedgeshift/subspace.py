@@ -24,7 +24,7 @@ from math import comb, lcm
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, GroundMismatchError, HomogeneityError
-from .exterior import Multivector, Rational, Support, wedge
+from .exterior import Multivector, Rational, Support, integer_terms, wedge
 from .families import SetFamily
 from .linalg import column_kernel, rref
 
@@ -81,24 +81,26 @@ def _check_grade(order: MonomialOrder, supports: Iterable[Support]) -> None:
             raise HomogeneityError(f"spanning vector of grade {g}, order expects {order.k}")
 
 
-def _checked_terms(order: MonomialOrder, v: Union[Multivector, Mapping]) -> Mapping[Support, Fraction]:
-    """The terms of one spanning vector of the public constructor, checked:
-    a term map goes through the checking Multivector constructor (a float
-    value is a TypeError, an unsorted or out-of-range support a ValueError),
-    then ground dimension and grade are checked."""
+def _checked_terms(order: MonomialOrder, v: Union[Multivector, Mapping]) -> dict[Support, int]:
+    """The terms of one spanning vector of the public constructor, checked,
+    as integers over their common denominator: a term map goes through the
+    checking Multivector constructor (a value not an int or a Fraction is a
+    TypeError, an unsorted or out-of-range support a ValueError), then
+    ground dimension and grade are checked."""
     if not isinstance(v, Multivector):
         v = Multivector(order.n, v)
     if v.n != order.n:
         raise GroundMismatchError(f"vector over ground dimension {v.n}, order expects {order.n}")
     _check_grade(order, v.terms)
-    return v.terms
+    return integer_terms(v)[0]
 
 
 class _CheckedCall(type):
-    """Calling Subspace checks its spanning vectors; __init__ takes them as
-    they are.  Package code that already holds grade-k term maps reaches
-    __init__ through Subspace._trusted, so every construction, checked or
-    not, runs __init__ exactly once."""
+    """Calling Subspace checks its spanning vectors and scales each to
+    integers once; __init__ takes integer term maps as they are.  Package
+    code that already holds grade-k integer term maps reaches __init__
+    through Subspace._trusted, so every construction, checked or not, runs
+    __init__ exactly once."""
 
     def __call__(cls, order: MonomialOrder, vectors: Iterable[Union[Multivector, Mapping]] = ()):
         return super().__call__(order, [_checked_terms(order, v) for v in vectors])
@@ -108,9 +110,10 @@ class Subspace(metaclass=_CheckedCall):
     """Row space in reduced echelon form over an explicit monomial order.
 
     Construction re-canonicalizes any spanning set.  The public constructor
-    takes Multivectors or term maps and checks them as the Multivector
-    constructor does (exact values, sorted in-range supports), plus ground
-    dimension and grade k; ``_trusted`` takes the package's own term maps of
+    takes Multivectors or term maps with int or Fraction values and checks
+    them as the Multivector constructor does (exact values, sorted in-range
+    supports), plus ground dimension and grade k, then scales each to
+    integers; ``_trusted`` takes the package's own integer term maps of
     grade k on sorted, in-range supports unchecked.  Each canonical row is
     kept primitive with a positive pivot, the one integer form of its
     pivot-1 row, so equal subspaces have equal rows and pivots; pivot
@@ -121,7 +124,7 @@ class Subspace(metaclass=_CheckedCall):
 
     __slots__ = ("order", "_rows", "_by_pivot", "_fraction_rows")
 
-    def __init__(self, order: MonomialOrder, vectors: Iterable[Mapping[Support, Rational]] = ()):
+    def __init__(self, order: MonomialOrder, vectors: Iterable[Mapping[Support, int]] = ()):
         rows, pivots = rref(list(vectors), order.key)
         self.order = order
         self._rows = tuple(rows)
@@ -129,9 +132,9 @@ class Subspace(metaclass=_CheckedCall):
         self._fraction_rows: Optional[tuple[Multivector, ...]] = None
 
     @classmethod
-    def _trusted(cls, order: MonomialOrder, rows: Iterable[Mapping[Support, Rational]]) -> "Subspace":
+    def _trusted(cls, order: MonomialOrder, rows: Iterable[Mapping[Support, int]]) -> "Subspace":
         """Canonical span of grade-k term maps on sorted, in-range supports
-        with int or Fraction values, unchecked."""
+        with int values, unchecked."""
         out = cls.__new__(cls)
         out.__init__(order, rows)
         return out
@@ -235,7 +238,7 @@ class Subspace(metaclass=_CheckedCall):
         _check_pluecker_size(comb(comb(self.n, self.k), m))
         columns, lifted = _lift(self.order, [r.terms for r in self.rows])
         product = reduce(wedge, [Multivector._trusted(len(columns), row) for row in lifted])
-        return _pluecker_vector(self.order, columns, product)
+        return _pluecker_vector(self.order, columns, product.terms)
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -269,18 +272,17 @@ def _lift(
 
 
 def _pluecker_vector(
-    order: MonomialOrder, columns: Sequence[Support], product: Multivector
+    order: MonomialOrder, columns: Sequence[Support], product: Mapping[Support, Rational]
 ) -> PlueckerVector:
-    """The nonzero coordinates of a nonzero wedge of lifted vectors, back on
-    their supports, in position order and scaled so the first one is 1."""
-    items = sorted(product.terms.items())
+    """The nonzero coordinates of a nonzero wedge of lifted vectors (a term
+    map), back on their supports, in position order, the first scaled to 1."""
+    items = sorted(product.items())
     lead = items[0][1]
     return PlueckerVector(
         len(items[0][0]),
         order,
-        tuple((tuple(columns[p - 1] for p in key), v / lead) for key, v in items),
+        tuple((tuple(columns[p - 1] for p in key), Fraction(v, lead)) for key, v in items),
     )
-
 
 
 def span(vectors: Iterable[Multivector], order: Optional[MonomialOrder] = None) -> Subspace:

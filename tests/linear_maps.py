@@ -2,13 +2,23 @@
 
 The package computes shear and weight limits directly; these build the
 literal matrices for a fixed parameter t so tests can compare against them,
-and test invertibility independently of the package.
+and test invertibility independently of the package.  ``shift_map`` is the
+package's own replacement map, on a Multivector.
 """
 
 from fractions import Fraction
 
 from oracles import reduce_rows
-from wedgeshift import GroundMismatchError, LinearMap
+from wedgeshift import GroundMismatchError, LinearMap, Multivector
+from wedgeshift.limits import _as_pair, _replaced
+
+
+def shift_map(x, pair):
+    """The map that limit_shift applies to each row (``limits._replaced``):
+    e_i becomes e_j in each monomial with factor e_i (zero when j is already
+    a factor), and every monomial without i goes to zero."""
+    p = _as_pair(pair, x.n)
+    return Multivector._trusted(x.n, _replaced(x.terms, p.i, p.j))
 
 
 def identity(n):

@@ -8,8 +8,17 @@ oracle's answer.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from wedgeshift import Multivector, Subspace
+
+
+def integer_row(row):
+    """A sparse rational row times the lcm of its denominators, zeros dropped:
+    the integer row the elimination kernel takes, with the same span and the
+    same kernel."""
+    d = lcm(*(Fraction(v).denominator for v in row.values()))
+    return {c: int(v * d) for c, v in row.items() if v}
 
 
 def reduce_rows(rows, ncols):

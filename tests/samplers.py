@@ -1,6 +1,6 @@
 """Seeded samplers only tests use, drawing from the generator in the same
 sequence as before they left ``wedgeshift.sampling``, so seeded tests keep
-their inputs."""
+their inputs, and the star family."""
 
 import itertools
 from fractions import Fraction
@@ -19,6 +19,13 @@ def random_upper_triangular(rng, n):
             row[c] = random_rational(rng)
         rows.append(row)
     return LinearMap(rows)
+
+
+def star_family(n, k, v):
+    """All k-subsets of [n] containing v."""
+    rest = [i for i in range(1, n + 1) if i != v]
+    sets = tuple(tuple(sorted((v,) + c)) for c in itertools.combinations(rest, k - 1))
+    return SetFamily(n, k, sets)
 
 
 def random_intersecting_family(rng, n, k, max_size=None):

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from oracles import apply_map
-from samplers import random_intersecting_family, random_upper_triangular
+from samplers import random_intersecting_family, random_upper_triangular, star_family
 from wedgeshift import (
     FalsificationError,
     MonomialOrder,
@@ -21,7 +21,6 @@ from wedgeshift import (
     self_annihilating,
     shifted_ekr_verify,
     span,
-    star_family,
 )
 from wedgeshift.ekr import _shifted_cert
 from wedgeshift.sampling import random_invertible

@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, lcm
 
@@ -36,7 +37,7 @@ from wedgeshift.sampling import (
 
 
 def e(n, i):
-    return Multivector.basis(n, i)
+    return Multivector(n, {(i,): 1})
 
 
 class TestWedge:
@@ -315,7 +316,7 @@ class TestIntegerCore:
             got, ref = wedge(x, y, z), parent_wedge(parent_wedge(x, y), z)
             assert got == ref and all(type(c) is Fraction for c in got.terms.values())
         with pytest.raises(GroundMismatchError):
-            wedge(Multivector.basis(3, 1), Multivector.basis(3, 2), Multivector.basis(4, 3))
+            wedge(e(3, 1), e(3, 2), e(4, 3))
 
 
 def reference_self_annihilating(V, s):
@@ -442,9 +443,9 @@ class TestLinearMapPredicates:
 
     def test_weight_diagonal_entries(self):
         g = weight_diagonal(3, 2)
-        assert g.entry(1, 1) == Fraction(1, 4)
-        assert g.entry(2, 2) == Fraction(1, 16)
-        assert g.entry(3, 3) == Fraction(1, 256)
+        assert g.entries[0][0] == Fraction(1, 4)
+        assert g.entries[1][1] == Fraction(1, 16)
+        assert g.entries[2][2] == Fraction(1, 256)
 
 
 class TestTextForm:
@@ -490,7 +491,30 @@ class TestFloatsRejected:
 
     def test_exact_values_still_accepted(self):
         assert Multivector(2, {(1,): Fraction(1, 10)}).terms == {(1,): Fraction(1, 10)}
-        assert LinearMap([[1, 0], [Fraction(1, 2), 1]]).entry(2, 1) == Fraction(1, 2)
+        assert LinearMap([[1, 0], [Fraction(1, 2), 1]]).entries[1][0] == Fraction(1, 2)
+
+
+class TestExactTypesOnly:
+    """An exact coefficient is an int or a Fraction.  Fraction() also reads a
+    str, a bool or a Decimal; each is refused with its type named."""
+
+    BAD = ["3/4", True, Decimal("0.1")]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_multivector(self, bad):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            Multivector(2, {(1,): bad})
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_linear_map(self, bad):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            LinearMap([[1, 0], [bad, 1]])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_subspace_term_map(self, bad):
+        # used to build e1 + 4/3*e2 from {(1,): "3/4", (2,): True}
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            Subspace(MonomialOrder("lex", 3, 1), [{(1,): 1, (2,): bad}])
 
 
 class TestScalarContract:

@@ -24,11 +24,10 @@ from wedgeshift import (
     linear_factors,
     self_annihilating,
     span,
-    star_family,
     wedge,
 )
 from oracles import apply_map, contains, intersect
-from samplers import random_upper_triangular
+from samplers import random_upper_triangular, star_family
 from wedgeshift.sampling import random_invertible, random_multivector, random_rational
 
 

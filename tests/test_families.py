@@ -15,9 +15,9 @@ from wedgeshift import (
     hilton_milner_verify,
     is_intersecting,
     is_star,
-    star_family,
 )
 from wedgeshift.families import ENUMERATION_MODES
+from samplers import star_family
 
 
 def fam(n, k, *sets):

@@ -6,11 +6,14 @@ relative names.  Each call's (argv, exit code, stdout, stderr) is hashed.
 ``golden_cli.json`` holds the digests of `pipeline` on both routes and
 `limit`; ``golden_cli_readers.json`` those of `init` (both orders),
 `annihilator`, `factor`, `oracle-pluecker FILE`, `verify-family` and
-`shift`, plus exit-1 calls on malformed rows.  A change that is meant to
-keep the output bytes must leave them alone; on a mismatch the test names
-the first call that differs.  After a change that is meant to alter the
-output, rewrite both files with ``python tests/test_golden_cli.py`` from the
-root of a source checkout.
+`shift`, plus exit-1 calls on malformed rows; ``golden_cli_checks.json``
+those of the verbs that read no record (`example-cross --check`,
+`hm-verify`, `enumerate` in every mode, `oracle-pluecker --random`), the
+bytes of the file that `pipeline --trace` writes, and one call for each way
+to exit 3.  A change that is meant to keep the output bytes must leave them
+alone; on a mismatch the test names the first call that differs.  After a
+change that is meant to alter the output, rewrite all three files with
+``python tests/test_golden_cli.py`` from the root of a source checkout.
 """
 
 import contextlib
@@ -29,6 +32,8 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 READERS_GOLDEN = Path(__file__).with_name("golden_cli_readers.json")
 SEED = 20261019
 READERS_SEED = 20261020
+CHECKS_GOLDEN = Path(__file__).with_name("golden_cli_checks.json")
+CHECKS_SEED = 20261021
 SHAPES = ((5, 2), (6, 3), (7, 3))
 
 
@@ -182,9 +187,33 @@ def _reader_calls(rng, records, families):
     return calls
 
 
+# Verbs that read no record, and one call for each way to exit 3: the
+# enumeration budget, the certificate depth cap (n = 301 > MAX_CERT_N) and
+# the Pluecker size cap, checked before any trial is sampled.
+CHECK_CALLS = (
+    ["example-cross", "--k", "3", "--check"],
+    ["example-cross", "--k", "5", "--check"],
+    ["hm-verify", "--n", "6", "--k", "3"],
+    ["hm-verify", "--n", "7", "--k", "3"],
+    *(
+        ["enumerate", "--n", str(n), "--k", str(k), "--mode", mode, *extra]
+        for mode in ("all-intersecting", "shifted-intersecting", "maximal-intersecting")
+        for n, k, extra in ((5, 2, []), (5, 2, ["--count-only"]), (6, 3, ["--count-only"]))
+    ),
+    ["oracle-pluecker", "--random", "5", "--n", "4", "--k", "2", "--m", "3", "--seed", "1"],
+    ["oracle-pluecker", "--random", "4", "--n", "5", "--k", "2", "--m", "2", "--seed", "7"],
+    ["enumerate", "--n", "5", "--k", "2", "--budget", "5"],
+    ["pipeline", "deep.json"],
+    ["oracle-pluecker", "--random", "3", "--n", "10", "--k", "5", "--m", "3"],
+)
+DEEP_RECORD = ("deep.json", {"n": 301, "k": 2, "basis": ["e1^e2", "e1^e3"]})
+
+
 def _run(workdir, files, calls):
     """Write the files into workdir and run every call there; return one
-    (argv, sha256) per input file and per call, in order."""
+    (argv, sha256) per input file and per call, in order, and after a call
+    with ``--trace PATH`` one more for the bytes of PATH, or "absent" when
+    the call wrote no file."""
     from wedgeshift.cli import main
 
     out = []
@@ -201,6 +230,10 @@ def _run(workdir, files, calls):
                 code = main(list(argv))
             blob = json.dumps([argv, code, stdout.getvalue(), stderr.getvalue()])
             out.append((argv, hashlib.sha256(blob.encode()).hexdigest()))
+            if "--trace" in argv:
+                path = Path(argv[argv.index("--trace") + 1])
+                digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "absent"
+                out.append((["read", path.name], digest))
     finally:
         os.chdir(here)
     return out
@@ -220,6 +253,18 @@ def reader_call_digests(workdir):
     families = _families(rng)
     calls = _reader_calls(rng, records, families)
     return _run(workdir, records + families + list(BAD_RECORDS), calls)
+
+
+def check_call_digests(workdir):
+    """Digests of the verbs that read no record, of `pipeline --trace` with
+    its trace file on both routes over seeded records, and of the exit-3
+    calls."""
+    records = _records(random.Random(CHECKS_SEED))
+    calls = [list(argv) for argv in CHECK_CALLS]
+    for name, _ in records:
+        for route in ("iterate", "init-then-shift"):
+            calls.append(["pipeline", name, "--route", route, "--trace", f"trace-{route}-{name}"])
+    return _run(workdir, records + [DEEP_RECORD], calls)
 
 
 def total(digests):
@@ -243,11 +288,19 @@ def test_reading_verbs_match_the_recorded_digest(tmp_path):
     assert_matches(READERS_GOLDEN, reader_call_digests(tmp_path))
 
 
+def test_check_verbs_and_exit_3_match_the_recorded_digest(tmp_path):
+    assert_matches(CHECKS_GOLDEN, check_call_digests(tmp_path))
+
+
 if __name__ == "__main__":
     import tempfile
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    for path, make in ((GOLDEN, call_digests), (READERS_GOLDEN, reader_call_digests)):
+    for path, make in (
+        (GOLDEN, call_digests),
+        (READERS_GOLDEN, reader_call_digests),
+        (CHECKS_GOLDEN, check_call_digests),
+    ):
         with tempfile.TemporaryDirectory() as tmp:
             digests = make(tmp)
         path.write_text(json.dumps({"digest": total(digests), "calls": digests}, indent=1) + "\n")

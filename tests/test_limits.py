@@ -12,10 +12,10 @@ from math import lcm
 
 import pytest
 
-from linear_maps import shear, weight_diagonal
+from linear_maps import shear, shift_map, weight_diagonal
 from test_exterior import parent_wedge
 from oracles import apply_map
-from samplers import random_intersecting_family, random_upper_triangular
+from samplers import random_intersecting_family, random_upper_triangular, star_family
 from wedgeshift import (
     BudgetExceededError,
     IterationLimitError,
@@ -32,9 +32,7 @@ from wedgeshift import (
     limit_shift,
     pluecker_limit,
     self_annihilating,
-    shift_map,
     span,
-    star_family,
     triangular_fixed_point,
 )
 from wedgeshift.cli import main
@@ -413,7 +411,7 @@ def parent_pluecker_limit(V, p):
             for same, lower in zip(by_degree + [zero], [zero] + by_degree)
         ]
     top = max(d for d, c in enumerate(by_degree) if not c.is_zero)
-    return _pluecker_vector(V.order, columns, by_degree[top])
+    return _pluecker_vector(V.order, columns, by_degree[top].terms)
 
 
 def _denominator(x):
@@ -726,6 +724,33 @@ class TestShiftedStop:
             W, trace = triangular_fixed_point(V, route=route, max_rounds=2)
             assert W.monomial_basis() == SetFamily(4, 2, ((1, 2), (1, 3)))
             assert trace[-1].shifted and not any(st.shifted for st in trace[:-1])
+
+    def test_status_once_per_state(self, rng, monkeypatch):
+        # mono and shif are kept with the current state, so the status of
+        # each state the drive holds is computed once: the starting state's,
+        # then one per applied limit or shift
+        import wedgeshift.limits as limits
+
+        seen = []
+
+        def counting(V):
+            seen.append(V)
+            return _status(V)
+
+        monkeypatch.setattr(limits, "_status", counting)
+        for n, k in ((5, 2), (6, 3)):
+            order = MonomialOrder("lex", n, k)
+            for _ in range(3):
+                F = random_intersecting_family(rng, n, k)
+                g = random_upper_triangular(rng, n)
+                image = span([apply_linear(g, Multivector.monomial(n, s)) for s in F.sets], order)
+                star = monomial_span(n, k, star_family(n, k, 1).sets)
+                for V in (image, monomial_span(n, k, F.sets), star):
+                    for route in ROUTES:
+                        seen.clear()
+                        _, trace = triangular_fixed_point(V, route=route)
+                        assert len(seen) == 1 + sum(st.kind != "init" for st in trace)
+                        assert all(a is not b for a, b in itertools.combinations(seen, 2))
 
     def _counted(self, monkeypatch):
         import wedgeshift.limits as limits

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import integer_row
 from wedgeshift import LinearMap
 from wedgeshift.linalg import column_kernel, rref
 from wedgeshift.sampling import random_invertible, random_rational
@@ -26,8 +27,10 @@ SEEDS = range(12)
 
 
 def nullspace(rows, ncols):
-    """Kernel of a dense matrix, transposed into column_kernel's sparse columns."""
-    return column_kernel([{r: row[c] for r, row in enumerate(rows)} for c in range(ncols)])
+    """Kernel of a dense matrix, its rows scaled to integers, transposed into
+    column_kernel's sparse columns."""
+    rows = sparse(rows)
+    return column_kernel([{r: row[c] for r, row in enumerate(rows) if c in row} for c in range(ncols)])
 
 
 def entry(rng):
@@ -69,7 +72,9 @@ def rank_of(vectors, ncols):
 
 
 def sparse(rows):
-    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+    """Dense rational rows as the kernel's sparse integer rows: each row
+    scaled by its own denominators, which keeps the span and the kernel."""
+    return [integer_row(dict(enumerate(row))) for row in rows]
 
 
 def dense(rows, ncols):
@@ -103,7 +108,8 @@ def test_kernels_match_sympy(shape, seed):
     expected = [list(v) for v in to_sympy(rows, ncols).nullspace()]
     assert same_span(nullspace(rows, ncols), expected, ncols)
     # the same matrix as sparse columns over hashable, non-integer keys
-    columns = [{("row", r): rows[r][c] for r in range(len(rows)) if rows[r][c]}
+    ints = sparse(rows)
+    columns = [{("row", r): row[c] for r, row in enumerate(ints) if c in row}
                for c in range(ncols)]
     assert same_span(column_kernel(columns), expected, ncols)
 
@@ -117,7 +123,7 @@ def test_det_and_inverse_match_sympy(shape, seed):
     rows = random_matrix(random.Random(seed), shape)
     n = len(rows)
     M = to_sympy(rows, n)
-    aug = [{**dict(enumerate(row)), n + r: Fraction(1)} for r, row in enumerate(rows)]
+    aug = [integer_row({**dict(enumerate(row)), n + r: Fraction(1)}) for r, row in enumerate(rows)]
     reduced, pivots = rref(aug)
     reduced = pivot_one(reduced, pivots)
     invertible = M.det() != 0

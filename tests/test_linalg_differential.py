@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import integer_row
 from wedgeshift.linalg import rref
 from wedgeshift.subspace import MonomialOrder
 
@@ -89,7 +90,7 @@ def test_matches_dense_rref(shape):
         ncols = SHAPES[shape][1]
         expected_rows, expected_pivots = dense_rref(rows)
         for labels, key in labelings(ncols):
-            sparse = [{labels[c]: v for c, v in enumerate(row) if v} for row in rows]
+            sparse = [integer_row({labels[c]: v for c, v in enumerate(row)}) for row in rows]
             reduced, pivots = rref(sparse, key)
             reduced = [{c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(reduced, pivots)]
             assert pivots == [labels[c] for c in expected_pivots]

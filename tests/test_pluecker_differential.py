@@ -13,9 +13,9 @@ from wedgeshift import (
     decreasing_pairs,
     limit_shift,
     pluecker_limit,
-    shift_map,
     span,
 )
+from linear_maps import shift_map
 from wedgeshift.sampling import random_subspace
 
 sympy = pytest.importorskip("sympy")

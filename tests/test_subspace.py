@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from linear_maps import diagonal, is_invertible, shear
+from linear_maps import diagonal, is_invertible, shear, shift_map
 from oracles import apply_map, intersect
 from wedgeshift import (
     BudgetExceededError,
@@ -33,7 +33,7 @@ from wedgeshift.cli import main
 from wedgeshift.ekr import ekr_pipeline
 from wedgeshift.exterior import integer_terms
 from wedgeshift.factor import _annihilator, common_annihilator, linear_factors
-from wedgeshift.limits import decreasing_pairs, initial_subspace, pluecker_limit, shift_map
+from wedgeshift.limits import decreasing_pairs, initial_subspace, pluecker_limit
 from wedgeshift.serialize import subspace_from_record, subspace_record
 from wedgeshift.sampling import (
     random_multivector,
@@ -110,7 +110,9 @@ class TestCheckedDoor:
         maps = [{(1, 2): 2, (3, 4): Fraction(-1, 3)}, {(1, 3): 1, (1, 2): 4}, {}]
         V = Subspace(self.ORDER, maps)
         assert V == Subspace(self.ORDER, [Multivector(4, m) for m in maps])
-        assert V == Subspace._trusted(self.ORDER, maps) and V.dim == 2
+        # _trusted takes integer maps: the first one times 3 has the same span
+        integer_maps = [{(1, 2): 6, (3, 4): -1}, maps[1], {}]
+        assert V == Subspace._trusted(self.ORDER, integer_maps) and V.dim == 2
 
     def test_package_callers_skip_the_checks(self, monkeypatch):
         V = span([Multivector(5, {(1, 2): 1, (3, 4): 2}), Multivector(5, {(1, 3): 1, (2, 5): -1})])
