@@ -23,12 +23,19 @@ from .errors import (
 )
 from .exterior import format_multivector, parse_multivector
 from .factor import common_annihilator, complement_pair_space, factor_report
-from .families import DEFAULT_BUDGET, ENUMERATION_MODES, SetFamily, ShiftPair, combinatorial_shift
+from .families import (
+    DEFAULT_BUDGET,
+    ENUMERATION_MODES,
+    SetFamily,
+    ShiftPair,
+    combinatorial_shift,
+    enumerate_families,
+)
 from .ekr import ekr_pipeline, hilton_milner_verify, shifted_ekr_verify
 from .limits import ROUTES, initial_subspace, limit_shift, pluecker_limit, decreasing_pairs
 from .sampling import random_subspace
 from .serialize import family_record, parse_input, save_json, subspace_record
-from .subspace import MonomialOrder, Subspace, _check_pluecker_size
+from .subspace import ORDER_KINDS, MonomialOrder, Subspace, _check_pluecker_size
 
 
 class _UsageError(Exception):
@@ -92,7 +99,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("init", help="initial-monomial degeneration of a subspace")
     p.add_argument("input")
-    p.add_argument("--order", choices=["lex", "weight2"])
+    p.add_argument("--order", choices=ORDER_KINDS)
 
     p = sub.add_parser("factor", help="linear factors of a multivector literal")
     p.add_argument("input", help="multivector literal; put -- before one that starts with "
@@ -130,15 +137,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run_verify_family(args) -> int:
-    fam = _need_family(parse_input(args.input), "verify-family")
-    report = shifted_ekr_verify(fam, identifier=args.input)
-    print(f"size {report.size} <= bound {report.bound}: "
+def _emit_report(report, what: str) -> int:
+    print(f"{what} {report.size} <= bound {report.bound}: "
           f"{'satisfied' if report.satisfied else 'VIOLATED'}")
     _emit(report.record())
     if not report.satisfied:
         raise FalsificationError("bound violated")
     return 0
+
+
+def _check_oracle(V: Subspace, p: ShiftPair, where: str = "") -> None:
+    if limit_shift(V, p).pluecker() != pluecker_limit(V, p):
+        raise FalsificationError(f"oracle mismatch at {where}pair ({p.i}, {p.j})")
+
+
+def _run_verify_family(args) -> int:
+    fam = _need_family(parse_input(args.input), "verify-family")
+    return _emit_report(shifted_ekr_verify(fam, identifier=args.input), "size")
 
 
 def _run_pipeline(args) -> int:
@@ -146,12 +161,7 @@ def _run_pipeline(args) -> int:
     report = ekr_pipeline(V, route=args.route, identifier=args.input)
     if args.trace:  # before any output, so a failed write leaves stdout empty
         save_json(args.trace, report.certificate["steps"])
-    print(f"dim {report.size} <= bound {report.bound}: "
-          f"{'satisfied' if report.satisfied else 'VIOLATED'}")
-    _emit(report.record())
-    if not report.satisfied:
-        raise FalsificationError("bound violated")
-    return 0
+    return _emit_report(report, "dim")
 
 
 def _run_shift(args) -> int:
@@ -205,8 +215,6 @@ def _run_example_cross(args) -> int:
 
 
 def _run_enumerate(args) -> int:
-    from .families import enumerate_families
-
     _check_budget(args.budget)
     mode = args.mode.replace("-", "_")
     count = 0
@@ -223,10 +231,7 @@ def _run_enumerate(args) -> int:
 def _run_hm_verify(args) -> int:
     _check_budget(args.budget)
     report = hilton_milner_verify(args.n, args.k, budget=args.budget)
-    print(f"max non-star size {report.size} <= bound {report.bound}: "
-          f"{'satisfied' if report.satisfied else 'VIOLATED'}")
-    _emit(report.record())
-    return 0
+    return _emit_report(report, "max non-star size")
 
 
 def _run_oracle_pluecker(args) -> int:
@@ -246,12 +251,7 @@ def _run_oracle_pluecker(args) -> int:
         for trial in range(args.random):
             V = random_subspace(rng, order, 1 + trial % args.m)
             for p in pairs:
-                left = limit_shift(V, p).pluecker()
-                right = pluecker_limit(V, p)
-                if left != right:
-                    raise FalsificationError(
-                        f"oracle mismatch at trial {trial}, pair ({p.i}, {p.j})"
-                    )
+                _check_oracle(V, p, f"trial {trial}, ")
         _emit({"trials": args.random, "pairs_per_trial": len(pairs), "match": True,
                "seed": args.seed})
         return 0
@@ -259,10 +259,7 @@ def _run_oracle_pluecker(args) -> int:
         raise _UsageError("oracle-pluecker needs an input file and --pair, or --random")
     V = _need_subspace(parse_input(args.input), "oracle-pluecker")
     p = _pair(args.pair)
-    left = limit_shift(V, p).pluecker()
-    right = pluecker_limit(V, p)
-    if left != right:
-        raise FalsificationError(f"oracle mismatch at pair ({p.i}, {p.j})")
+    _check_oracle(V, p)
     _emit({"pair": [p.i, p.j], "match": True})
     return 0
 

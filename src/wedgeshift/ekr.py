@@ -30,7 +30,7 @@ from .families import (
     is_shifted,
     is_star,
 )
-from .limits import triangular_fixed_point
+from .limits import TraceStep, triangular_fixed_point
 from .subspace import Subspace
 
 
@@ -181,10 +181,10 @@ def ekr_pipeline(
 ) -> VerifyReport:
     """Bound the dimension of a self-annihilating subspace of grade k <= n/2.
 
-    Drives V to a fixed point of every decreasing shear limit, extracts the
-    monomial support family, checks it shifted and intersecting, and certifies
-    the size by the shifted induction.  Dimension and self-annihilation are
-    re-verified after every applied step; any breakage raises
+    Drives V to a shifted monomial fixed point of every decreasing shear
+    limit, checks its support family intersecting, and certifies the size by
+    the shifted induction.  Dimension and self-annihilation are re-verified
+    on each state as the drive applies it; any breakage raises
     FalsificationError since each is a certified invariant of the limits."""
     n, k = V.n, V.k
     if not (1 <= k and 2 * k <= n):
@@ -192,21 +192,18 @@ def ekr_pipeline(
     _check_cert_depth(n, k, V.dim)
     if not self_annihilating(V):
         raise ValueError("subspace is not self-annihilating")
-    result, trace = triangular_fixed_point(V, route=route)
-    for st in trace:
+
+    def recheck(st: TraceStep, state: Subspace) -> None:
         if st.dim != V.dim:
             raise FalsificationError(f"dimension changed at step {st.step}: {V.dim} -> {st.dim}")
-        if not self_annihilating(st.state):
+        if not self_annihilating(state):
             raise FalsificationError(f"self-annihilation lost at step {st.step}")
+
+    result, trace = triangular_fixed_point(V, route=route, on_step=recheck)
     fam = result.monomial_basis()
-    if fam is None:
-        raise FalsificationError("fixed point lacks a monomial basis")
-    if not is_shifted(fam):
-        raise FalsificationError("fixed-point support family is not shifted")
-    if not is_intersecting(fam):
+    if not is_intersecting(fam):  # exit 2, not shifted_ekr_verify's ValueError (exit 1)
         raise FalsificationError("fixed-point support family is not intersecting")
     sub = shifted_ekr_verify(fam)
-    bound = ekr_bound(n, k)
     certificate = {
         "route": route,
         "steps": [st.record() for st in trace],
@@ -216,10 +213,10 @@ def ekr_pipeline(
     return VerifyReport(
         identifier=identifier or f"pipeline(n={n},k={k},dim={V.dim})",
         size=V.dim,
-        bound=bound,
-        satisfied=V.dim <= bound and sub.satisfied,
+        bound=sub.bound,
+        satisfied=V.dim <= sub.bound and sub.satisfied,
         certificate=certificate,
-        star_element=is_star(fam),
+        star_element=sub.star_element,
     )
 
 

@@ -19,8 +19,9 @@ from typing import Mapping, Sequence
 from .errors import BudgetExceededError, FalsificationError, HomogeneityError
 from .exterior import Multivector, Support, integer_terms, wedge, wedge_core
 from .ekr import self_annihilating
+from .families import _SIZE_CAP
 from .linalg import column_kernel
-from .subspace import _SIZE_CAP, MonomialOrder, Subspace, span
+from .subspace import MonomialOrder, Subspace, span
 
 
 def _annihilator(n: int, vectors: Sequence[Mapping[Support, int]]) -> Subspace:

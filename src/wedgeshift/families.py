@@ -20,6 +20,10 @@ SetTuple = tuple[int, ...]
 
 DEFAULT_BUDGET = 10 ** 7
 
+# One cap on dense work: Pluecker coordinates of a subspace or shear limit,
+# complement-pair rows times coordinates, and disjointness-table bits.
+_SIZE_CAP = 1_000_000
+
 ENUMERATION_MODES = ("all_intersecting", "shifted_intersecting", "maximal_intersecting")
 
 
@@ -194,19 +198,21 @@ def enumerate_families(
     every candidate the walk pops is addable.  A frame also carries its family
     as a lex-sorted tuple, the parent's with the new set spliced in, which is
     yielded as is.  Raises BudgetExceededError past ``budget`` visited nodes,
-    and up front when C(n, k) + 1 > budget, before the C(n, k)^2-bit
-    disjointness table is built.
+    and up front, before the C(n, k)^2-bit disjointness table is built, when
+    C(n, k) + 1 > budget or C(n, k)^2 exceeds the size cap.
     """
     if mode not in ENUMERATION_MODES:
         raise ValueError(f"unknown enumeration mode {mode!r}")
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if comb(n, k) + 1 > budget:  # guards the C(n, k)^2-bit disjointness table
+    N = comb(n, k)
+    if N + 1 > budget:  # guards the C(n, k)^2-bit disjointness table
         raise BudgetExceededError(f"enumeration exceeds budget of {budget} nodes")
+    if N * N > _SIZE_CAP:
+        raise BudgetExceededError(f"disjointness table would have {N * N} bits (cap {_SIZE_CAP})")
     base = list(itertools.combinations(range(1, n + 1), k))
     if mode == "shifted_intersecting":
         base.sort(key=lambda s: (sum(s), s))
-    N = len(base)
     full = (1 << N) - 1
     bits = [sum(1 << a for a in s) for s in base]
     disjoint = [sum(1 << u for u, b in enumerate(bits) if not a & b) for a in bits]

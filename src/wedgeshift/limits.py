@@ -18,9 +18,9 @@ in the shear parameter, of the wedge of the sheared rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Any, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from .errors import FalsificationError, IterationLimitError
 from .exterior import Support, wedge_core
@@ -121,7 +121,7 @@ def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One applied step of a fixed-point drive, with the state it produced."""
+    """One applied step of a fixed-point drive; the state it produced is not kept."""
 
     step: int
     kind: str  # "limit_shift" | "comb_shift" | "init"
@@ -129,17 +129,9 @@ class TraceStep:
     dim: int
     monomial: bool
     shifted: bool
-    state: Subspace = field(compare=False, repr=False)
 
     def record(self) -> dict:
-        return {
-            "step": self.step,
-            "kind": self.kind,
-            "pair": list(self.pair) if self.pair else None,
-            "dim": self.dim,
-            "monomial": self.monomial,
-            "shifted": self.shifted,
-        }
+        return {**vars(self), "pair": list(self.pair) if self.pair else None}
 
 
 def _walk_pairs(n: int) -> Iterator[ShiftPair]:
@@ -169,6 +161,8 @@ def triangular_fixed_point(
     V: Subspace,
     route: str = "init-then-shift",
     max_rounds: Optional[int] = None,
+    *,
+    on_step: Optional[Callable[[TraceStep, Subspace], None]] = None,
 ) -> tuple[Subspace, list[TraceStep]]:
     """Drive V to a subspace fixed by every decreasing shear limit.
 
@@ -188,7 +182,10 @@ def triangular_fixed_point(
     support family is shifted, and the trace lists every applied step.
     The pairs are walked one at a time, never listed, so a state that is
     shifted on entry costs no pair at all; the zero subspace is returned as
-    is, with an empty trace."""
+    is, with an empty trace.  The drive holds only its current state;
+    ``on_step(step, state)``, when given, sees each applied step and the
+    state it produced before any further pair, and what it raises ends the
+    drive."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if V.is_zero:  # every map fixes the zero subspace: no pairs, no steps
@@ -198,7 +195,9 @@ def triangular_fixed_point(
     current = initial_subspace(V) if route == "init-then-shift" else V
     mono, shif = _status(current)
     if current != V:
-        steps.append(TraceStep(0, "init", None, current.dim, mono, shif, current))
+        steps.append(TraceStep(0, "init", None, current.dim, mono, shif))
+        if on_step:
+            on_step(steps[-1], current)
     if route == "init-then-shift" and not mono:
         raise FalsificationError("initial-monomial degeneration is not monomial")
     kind = "limit_shift" if route == "iterate" else "comb_shift"
@@ -213,7 +212,9 @@ def triangular_fixed_point(
                 current = moved
                 changed = True
                 mono, shif = _status(current)
-                steps.append(TraceStep(len(steps), kind, (p.i, p.j), current.dim, mono, shif, current))
+                steps.append(TraceStep(len(steps), kind, (p.i, p.j), current.dim, mono, shif))
+                if on_step:
+                    on_step(steps[-1], current)
                 if shif:
                     break
         if not changed:

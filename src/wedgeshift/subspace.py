@@ -25,14 +25,10 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, GroundMismatchError, HomogeneityError
 from .exterior import Multivector, Rational, Support, integer_terms, wedge
-from .families import SetFamily
+from .families import _SIZE_CAP, SetFamily
 from .linalg import column_kernel, rref
 
 ORDER_KINDS = ("lex", "weight2")
-
-# One cap on dense work: Pluecker coordinates of a subspace and of a shear
-# limit, and rows times coordinates of the complement-pair space.
-_SIZE_CAP = 1_000_000
 
 
 def _check_pluecker_size(ncoords: int) -> None:

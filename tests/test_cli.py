@@ -3,6 +3,8 @@
 import itertools
 import json
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -224,6 +226,21 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--n", "30", "--k", "15",
                              "--mode", "all-intersecting", "--count-only")
         assert code == 3 and "budget" in err and out == ""
+
+    def test_table_cap(self, capsys):
+        # C(1001, 1)^2 bits is above the 10^6 cap: exit 3 before the table is built
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            code, out, err = run(capsys, "enumerate", "--n", "1001", "--k", "1", "--count-only")
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "") and "1002001 bits (cap 1000000)" in err
+        assert elapsed < 0.5 and peak < 1 << 20
+        code, out, _ = run(capsys, "enumerate", "--n", "1000", "--k", "1", "--count-only")
+        assert code == 0 and json.loads(out)["count"] == 1001
 
     def test_negative_budget_is_usage_error(self, capsys):
         code, out, err = run(capsys, "enumerate", "--n", "4", "--k", "2", "--budget", "-1")

@@ -8,6 +8,7 @@ from oracles import apply_map
 from samplers import random_intersecting_family, random_upper_triangular, star_family
 from wedgeshift import (
     FalsificationError,
+    LinearMap,
     MonomialOrder,
     Multivector,
     SetFamily,
@@ -22,7 +23,10 @@ from wedgeshift import (
     shifted_ekr_verify,
     span,
 )
+import wedgeshift.ekr as ekr
+import wedgeshift.limits as limits
 from wedgeshift.ekr import _shifted_cert
+from wedgeshift.limits import ROUTES, triangular_fixed_point
 from wedgeshift.sampling import random_invertible
 
 
@@ -194,6 +198,101 @@ class TestPipeline:
             report = ekr_pipeline(V, route="iterate")
             assert all(st["dim"] == V.dim for st in report.certificate["steps"])
             assert report.satisfied
+
+
+
+class TestStepwiseRecheck:
+    """ekr_pipeline rechecks dimension and self-annihilation on each state the
+    drive produces, as the drive applies it."""
+
+    @staticmethod
+    def source(rng):
+        # e_c goes to e_c plus larger indices, so the initial family is the
+        # unshifted triangle itself and both routes apply limit steps
+        V = monomial_span(5, 2, [(2, 4), (2, 5), (4, 5)])
+        g = LinearMap(zip(*random_upper_triangular(rng, 5).entries))
+        return apply_map(V, lambda x: apply_linear(g, x))
+
+    @staticmethod
+    def first_limit_step(V, route):
+        _, trace = triangular_fixed_point(V, route=route)
+        return next(st.step for st in trace if st.kind != "init")
+
+    @staticmethod
+    def corrupt_first_change(monkeypatch, bad):
+        # the first limit call that changes its input returns bad instead
+        real = limits.limit_shift
+        changed = []
+
+        def patched(V, pair):
+            out = real(V, pair)
+            if out != V and not changed:
+                changed.append(pair)
+                return bad
+            return out
+
+        monkeypatch.setattr(limits, "limit_shift", patched)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_lost_self_annihilation_raises_at_its_step(self, rng, mv, monkeypatch, route):
+        V = self.source(rng)
+        t = self.first_limit_step(V, route)
+        bad = span([mv(5, "e1^e2"), mv(5, "e3^e4"), mv(5, "e1^e5")])
+        assert bad.dim == V.dim and not self_annihilating(bad)
+        self.corrupt_first_change(monkeypatch, bad)
+        with pytest.raises(FalsificationError, match=f"^self-annihilation lost at step {t}$"):
+            ekr_pipeline(V, route=route)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_changed_dimension_raises_at_its_step(self, rng, mv, monkeypatch, route):
+        V = self.source(rng)
+        t = self.first_limit_step(V, route)
+        self.corrupt_first_change(monkeypatch, span([mv(5, "e1^e2")]))
+        with pytest.raises(FalsificationError, match=f"^dimension changed at step {t}: 3 -> 1$"):
+            ekr_pipeline(V, route=route)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_every_state_is_rechecked_in_full(self, rng, monkeypatch, route):
+        V = self.source(rng)
+        seen = []
+
+        def counting(W, s=2):
+            seen.append(W)
+            return self_annihilating(W, s)
+
+        monkeypatch.setattr(ekr, "self_annihilating", counting)
+        report = ekr_pipeline(V, route=route)
+        steps = report.certificate["steps"]
+        assert steps and len(seen) == 1 + len(steps)
+        assert seen[0] is V and len({id(W) for W in seen}) == len(seen)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_no_limit_call_after_a_raising_step(self, rng, monkeypatch, route):
+        V = self.source(rng)
+        real = limits.limit_shift
+        calls = []
+
+        def counting(W, pair):
+            calls.append(pair)
+            return real(W, pair)
+
+        monkeypatch.setattr(limits, "limit_shift", counting)
+        _, trace = triangular_fixed_point(V, route=route)
+        assert len(trace) >= 2
+        for t in range(len(trace)):
+            seen = []
+
+            def stop(st, state):
+                seen.append((st, state.dim, len(calls)))
+                if st.step == t:
+                    raise RuntimeError("stop")
+
+            calls.clear()
+            with pytest.raises(RuntimeError, match="stop"):
+                triangular_fixed_point(V, route=route, on_step=stop)
+            assert [st for st, _, _ in seen] == trace[: t + 1]
+            assert all(dim == V.dim for _, dim, _ in seen)
+            assert len(calls) == seen[-1][2]
 
 
 class TestHiltonMilner:

@@ -148,6 +148,23 @@ class TestEnumerate:
             tracemalloc.stop()
         assert peak < 1 << 16
 
+    @pytest.mark.parametrize("mode", ENUMERATION_MODES)
+    @pytest.mark.parametrize("n,k", [(1001, 1), (14, 4), (46, 2), (1001, 1000)])
+    def test_table_cap(self, n, k, mode):
+        # C(n, k)^2 > 10^6: the table is refused on the first next(), even
+        # where the budget admits the walk and the walk is short; the CLI
+        # test of the cap guards the memory
+        bits = comb(n, k) ** 2
+        walk = enumerate_families(n, k, mode)
+        with pytest.raises(BudgetExceededError, match=f"^disjointness table would have {bits} bits"):
+            next(walk)
+
+    def test_table_cap_is_exact(self):
+        # C(1000, 1)^2 = 10^6 is at the cap: the walk yields the empty family
+        # and the 1000 singletons
+        assert sum(1 for _ in enumerate_families(1000, 1, "all_intersecting")) == 1001
+        assert next(enumerate_families(45, 2, "shifted_intersecting")).sets == ()
+
     def test_budget_guard_is_exact(self):
         # C(4, 2) + 1 = 7 passes the up-front guard; the first node yields the empty family
         first = next(enumerate_families(4, 2, "all_intersecting", budget=7))
