@@ -4,9 +4,10 @@ Rows are sparse integer maps ``{column: value}`` over any orderable columns,
 and the pivot of a row is its smallest column under an optional sort key.
 A caller that holds rational rows scales each one to integers first, which
 keeps the row space and the kernel.  Elimination is fraction-free (Bareiss,
-Math. Comp. 22, 1968): rows are combined without division and every changed
-row is divided by its content, so the work follows the nonzeros and no row
-is ever widened to all columns.  Each output row is the row's unique
+Math. Comp. 22, 1968): each reduction of a row against echelon rows
+(``reduce_row``) is one pass, scaled by the lcm of the pivots it meets, and
+is then divided by its content once, so the work follows the nonzeros and
+no row is ever widened to all columns.  Each output row is the row's unique
 integer form: primitive, with a positive pivot.  Canonical subspace rows and
 kernels both come from ``rref``, and neither leaves the integers.
 """
@@ -27,16 +28,31 @@ def _primitive(row: Row) -> Row:
     return row
 
 
-def _combine(a: Row, p: int, b: Row, f: int) -> Row:
-    """Primitive part of p*a - f*b, zeros dropped."""
-    out = {c: p * v for c, v in a.items()}
-    for c, v in b.items():
-        w = out.get(c, 0) - f * v
-        if w:
-            out[c] = w
-        else:
-            del out[c]
-    return _primitive(out)
+def reduce_row(row: Mapping[Hashable, int], by_pivot: Mapping[Hashable, Row]) -> tuple[Row, int]:
+    """s*row minus the combination of echelon rows that clears row at every
+    pivot it holds, zeros dropped, and the scale s: the lcm of the pivot
+    values met, 1 when none is.  ``by_pivot`` maps each pivot to its row.
+
+    Each echelon row vanishes at every other pivot, so a value of row at a
+    pivot is touched by that pivot's row only and one pass clears all
+    pivots; scaling once by the lcm keeps growth from compounding.  The rows
+    met are found by |row| look-ups in the pivot map, not a scan of the
+    rows.  row -> residue/s is linear, with the echelon rows' span as its
+    kernel."""
+    hits = [(by_pivot[piv], piv, c) for piv, c in row.items() if c and piv in by_pivot]
+    if not hits:
+        return {col: v for col, v in row.items() if v}, 1
+    s = lcm(*(r[piv] for r, piv, _ in hits))
+    out = {col: s * v for col, v in row.items() if v}
+    for r, piv, c in hits:
+        f = c * (s // r[piv])
+        for col, v in r.items():
+            w = out.get(col, 0) - f * v
+            if w:
+                out[col] = w
+            else:
+                del out[col]
+    return out, s
 
 
 def rref(
@@ -46,20 +62,19 @@ def rref(
     """Reduced row echelon form: (nonzero rows, pivot columns), in pivot order.
 
     Each row is primitive with a positive pivot and zero at the other pivots,
-    so dividing it by its pivot gives the pivot-1 row: one form per span."""
+    so dividing it by its pivot gives the pivot-1 row: one form per span.
+    Both passes are ``reduce_row`` and one content division: each new row
+    against the echelon rows, then each echelon row holding the new pivot
+    against the new row.  Signs met on the way are fixed at the end."""
     echelon: dict[Hashable, Row] = {}  # pivot -> primitive row, zero at the other pivots
     for row in rows:
-        cur = _primitive({c: v for c, v in row.items() if v})
-        for c in [c for c in cur if c in echelon]:
-            cur = _combine(cur, echelon[c][c], echelon[c], cur[c])
+        cur = _primitive(reduce_row(row, echelon)[0])
         if not cur:
             continue
         piv = min(cur, key=key)
-        p = cur[piv]
         for c, other in echelon.items():
-            f = other.get(piv)
-            if f:
-                echelon[c] = _combine(other, p, cur, f)
+            if piv in other:
+                echelon[c] = _primitive(reduce_row(other, {piv: cur})[0])
         echelon[piv] = cur
     pivots = sorted(echelon, key=key)
     reduced = []

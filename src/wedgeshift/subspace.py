@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, lcm
+from math import comb
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, GroundMismatchError, HomogeneityError
 from .exterior import Multivector, Rational, Support, integer_terms, wedge
 from .families import _SIZE_CAP, SetFamily
-from .linalg import column_kernel, rref
+from .linalg import column_kernel, reduce_row, rref
 
 ORDER_KINDS = ("lex", "weight2")
 
@@ -115,7 +115,8 @@ class Subspace(metaclass=_CheckedCall):
     pivot-1 row, so equal subspaces have equal rows and pivots; pivot
     monomials are the order-earliest supports of the rows.  One map from
     each pivot to its row, in coordinate order, serves pivots() and the row
-    look-ups of the residue.
+    look-ups of ``linalg.reduce_row`` when shear images are reduced modulo
+    the span.
     """
 
     __slots__ = ("order", "_rows", "_by_pivot", "_fraction_rows")
@@ -166,40 +167,13 @@ class Subspace(metaclass=_CheckedCall):
         """Pivot supports of the canonical rows, in coordinate order."""
         return tuple(self._by_pivot)
 
-    def _residue(self, x: Mapping[Support, int]) -> tuple[dict[Support, int], int]:
-        """An integer term map reduced against the canonical rows, and the
-        scale s it carries: s*x minus the member of V that agrees with s*x at
-        every pivot.  Zero exactly on V.
-
-        Each row vanishes at every other row's pivot, so x's coefficient at
-        a pivot is touched by that row only and one pass clears all pivots.
-        The rows met are found by looking x's supports up in the pivot map,
-        about |x| look-ups instead of one per row.  s is the lcm of the
-        pivots met, and x -> residue/s is linear with kernel V.  On a
-        monomial V, a signed monomial x has zero residue exactly when its
-        support is in V's family: the fact that lets the fixed-point drive
-        stop at a shifted family, within the same round cap."""
-        by_pivot = self._by_pivot
-        hits = [(by_pivot[piv], piv, c) for piv, c in x.items() if piv in by_pivot]
-        s = lcm(*(row[piv] for row, piv, _ in hits))
-        acc = {sup: s * v for sup, v in x.items()}
-        for row, piv, c in hits:
-            f = c * (s // row[piv])
-            for sup, v in row.items():
-                w = acc.get(sup, 0) - f * v
-                if w:
-                    acc[sup] = w
-                else:
-                    del acc[sup]
-        return acc, s
-
     def _members_mapped_into(self, images: Sequence[Mapping[Support, int]]) -> list[dict[Support, int]]:
         """Basis of the integer combinations sum c_i r_i of the canonical rows
         r_i whose image sum c_i images[i] lies in V: the kernel of the
-        residues modulo V, a dim-column matrix over only the supports those
-        residues touch.  A kernel vector u of the scaled residues gives
+        residues modulo V (``reduce_row`` on the pivot map), a dim-column
+        matrix over only the supports those residues touch.  A kernel vector u of the scaled residues gives
         c_i = u_i s_i.  When every image lies in V this is the rows."""
-        residues = [self._residue(x) for x in images]
+        residues = [reduce_row(x, self._by_pivot) for x in images]
         if not any(res for res, _ in residues):
             return list(self._rows)
         members = []

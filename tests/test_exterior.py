@@ -367,6 +367,58 @@ class TestSelfAnnihilatingDifferential:
         check()
         assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
 
+    def test_images_and_near_misses(self):
+        """Images of intersecting monomial spans under invertible maps are
+        self-annihilating.  Their near misses add +-e_T to one row, for
+        every support T.  The maps have entries in -1..1, so the products
+        of the canonical rows are small and, among the near misses, some
+        cancel in a sum: what a packing of too few bits, or none, would
+        read as zero.  Failures are not shrunk, to keep the mutant register
+        fast."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def images(draw):
+            # (6, 3) twice: its squares vanish, and sums that cancel unshifted turn up most there
+            n, k = draw(st.sampled_from([(4, 2), (5, 2), (6, 3), (6, 3)]))
+            supports = list(itertools.combinations(range(1, n + 1), k))
+            family = []
+            for s in draw(st.permutations(supports))[: draw(st.integers(1, 6))]:
+                if all(set(s) & set(t) for t in family):
+                    family.append(s)
+            # a row permutation of a unit upper-triangular map: always invertible
+            perm = draw(st.permutations(range(n)))
+            upper = [[1 if r == c else draw(st.integers(-1, 1)) if r < c else 0 for c in range(n)]
+                     for r in range(n)]
+            g = LinearMap([upper[p] for p in perm])
+            order = MonomialOrder(draw(st.sampled_from(("lex", "weight2"))), n, k)
+            rows = [apply_linear(g, Multivector.monomial(n, s)) for s in family]
+            return order, rows, draw(st.integers(0, len(rows) - 1))
+
+        outcomes = set()
+
+        def compare(V, near):
+            for s in (2, 3):
+                got = self_annihilating(V, s)
+                assert got == reference_self_annihilating(V, s), (V, s)
+                assert got or near, V
+                outcomes.add((near, got))
+
+        @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True,
+                             phases=[hypothesis.Phase.generate])
+        @hypothesis.given(images())
+        def check(case):
+            order, rows, i = case
+            compare(Subspace(order, rows), False)
+            for sup in itertools.combinations(range(1, order.n + 1), order.k):
+                for c in (-1, 1):
+                    bumped = rows[i] + Multivector(order.n, {sup: c})
+                    compare(Subspace(order, rows[:i] + [bumped] + rows[i + 1:]), True)
+
+        check()
+        assert outcomes == {(False, True), (True, True), (True, False)}
+
 
 class TestApplyLinear:
     def test_identity(self, rng):

@@ -1,8 +1,10 @@
-"""The sparse fraction-free kernel against the dense Gauss–Jordan loop it replaced."""
+"""The sparse fraction-free kernel against the dense Gauss–Jordan loop it
+replaced, and against its own earlier form with one combine per pivot hit."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -97,3 +99,77 @@ def test_matches_dense_rref(shape):
             assert reduced == [{labels[c]: v for c, v in enumerate(row) if v}
                                for row in expected_rows]
             assert all(type(v) is Fraction for row in reduced for v in row.values())
+
+
+def sequential_rref(rows, key=None):
+    """``rref`` as it was before one reduction routine served both passes:
+    the new row is cleared at each pivot it holds by its own combine
+    p*a - f*b, and every combine divides by the content."""
+
+    def primitive(row):
+        g = gcd(*row.values())
+        return {c: v // g for c, v in row.items()} if g > 1 else row
+
+    def combine(a, p, b, f):
+        out = {c: p * v for c, v in a.items()}
+        for c, v in b.items():
+            w = out.get(c, 0) - f * v
+            if w:
+                out[c] = w
+            else:
+                del out[c]
+        return primitive(out)
+
+    echelon = {}
+    for row in rows:
+        cur = primitive({c: v for c, v in row.items() if v})
+        for c in [c for c in cur if c in echelon]:
+            cur = combine(cur, echelon[c][c], echelon[c], cur[c])
+        if not cur:
+            continue
+        piv = min(cur, key=key)
+        p = cur[piv]
+        for c, other in echelon.items():
+            f = other.get(piv)
+            if f:
+                echelon[c] = combine(other, p, cur, f)
+        echelon[piv] = cur
+    pivots = sorted(echelon, key=key)
+    return [echelon[c] if echelon[c][c] > 0 else {col: -v for col, v in echelon[c].items()}
+            for c in pivots], pivots
+
+
+def sparse_rows(rng, columns):
+    """Sparse integer rows over tuple columns: negative values (so negative
+    pivots), explicit zeros, empty and all-zero rows, repeats, multiples and
+    combinations of earlier rows."""
+    rows = []
+    for _ in range(rng.randint(1, 9)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append(rng.choice([{}, {rng.choice(columns): 0}]))
+        elif kind < 0.35 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append({c: p * a.get(c, 0) + q * b.get(c, 0) for c in a.keys() | b.keys()})
+        else:
+            cols = rng.sample(columns, rng.randint(1, 5))
+            rows.append({c: rng.choice([0, -9, -2, -1, 1, 2, 3, 6, 12]) for c in cols})
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["lex", "weight2"])
+def test_matches_sequential_combines(kind):
+    columns = list(combinations(range(1, 7), 3))
+    key = MonomialOrder(kind, 6, 3).key
+    rng = random.Random(2024)
+    negative_pivots = dependent = 0
+    for _ in range(400):
+        rows = sparse_rows(rng, columns)
+        got = rref(rows, key)
+        assert got == sequential_rref(rows, key), rows
+        for row in rows:
+            support = [c for c, v in row.items() if v]
+            negative_pivots += bool(support) and row[min(support, key=key)] < 0
+        dependent += len(got[0]) < sum(1 for row in rows if any(row.values()))
+    assert negative_pivots > 100 and dependent > 100
