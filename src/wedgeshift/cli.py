@@ -28,6 +28,7 @@ from .families import (
     ENUMERATION_MODES,
     SetFamily,
     ShiftPair,
+    _walk,
     combinatorial_shift,
     enumerate_families,
 )
@@ -217,12 +218,15 @@ def _run_example_cross(args) -> int:
 def _run_enumerate(args) -> int:
     _check_budget(args.budget)
     mode = args.mode.replace("-", "_")
-    count = 0
-    max_size = 0
-    for fam in enumerate_families(args.n, args.k, mode, budget=args.budget):
-        count += 1
-        max_size = max(max_size, fam.size)
-        if not args.count_only:
+    count = max_size = 0
+    if args.count_only:
+        for lex in _walk(args.n, args.k, mode, args.budget):
+            count += 1
+            max_size = max(max_size, lex.bit_count())
+    else:
+        for fam in enumerate_families(args.n, args.k, mode, budget=args.budget):
+            count += 1
+            max_size = max(max_size, fam.size)
             print(json.dumps(family_record(fam), separators=(",", ":")))
     _emit({"mode": mode, "n": args.n, "k": args.k, "count": count, "max_size": max_size})
     return 0

@@ -24,7 +24,8 @@ from .exterior import wedge_core
 from .families import (
     DEFAULT_BUDGET,
     SetFamily,
-    enumerate_families,
+    _mask_sets,
+    _walk,
     family_decompose,
     is_intersecting,
     is_shifted,
@@ -227,29 +228,32 @@ def hilton_milner_verify(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Verify
     A family above the bound would falsify the theorem and raises
     FalsificationError."""
     bound = hm_bound(n, k)
-    enumerated = 0
-    checked = 0
-    max_size = 0
-    witnesses: list[list[list[int]]] = []
-    for fam in enumerate_families(n, k, "shifted_intersecting", budget=budget):
+    # A nonempty shifted family is a star iff every set holds 1: were v common
+    # to all sets and 1 missing from some A, shifting v to 1 would put
+    # A - v + 1, a set without v, in the family.  The sets holding 1 are the
+    # first C(n-1, k-1) in lex order, so the stars (and the empty family) are
+    # exactly the lex masks below this threshold.
+    star_below = 1 << comb(n - 1, k - 1)
+    enumerated = checked = max_size = witness_count = 0
+    witnesses: list[int] = []  # lex masks of the first 10 of maximum size
+    for lex in _walk(n, k, "shifted_intersecting", budget):
         enumerated += 1
-        # A nonempty shifted family is a star iff every set holds 1, which in
-        # lex order is iff the last set starts with 1: were v common to all
-        # sets and 1 missing from some A, shifting v to 1 would put
-        # A - v + 1, a set without v, in the family.
-        size = len(fam.sets)
-        if size == 0 or fam.sets[-1][0] == 1:
+        if lex < star_below:
             continue
         checked += 1
+        size = lex.bit_count()
         if size > bound:
+            sets = _mask_sets(itertools.combinations(range(1, n + 1), k), lex)
             raise FalsificationError(
-                f"non-star shifted intersecting family of size {size} > bound {bound}: {fam.sets}"
+                f"non-star shifted intersecting family of size {size} > bound {bound}: {sets}"
             )
         if size > max_size:
-            max_size = size
-            witnesses = [[list(s) for s in fam.sets]]
+            max_size, witness_count, witnesses = size, 1, [lex]
         elif size == max_size:
-            witnesses.append([list(s) for s in fam.sets])
+            witness_count += 1
+            if witness_count <= 10:
+                witnesses.append(lex)
+    lexbase = list(itertools.combinations(range(1, n + 1), k))
     return VerifyReport(
         identifier=f"hilton-milner(n={n},k={k})",
         size=max_size,
@@ -259,7 +263,7 @@ def hilton_milner_verify(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Verify
             "enumerated": enumerated,
             "non_star_checked": checked,
             "max_size": max_size,
-            "witness_count": len(witnesses),
-            "witnesses": witnesses[:10],
+            "witness_count": witness_count,
+            "witnesses": [[list(s) for s in _mask_sets(lexbase, lex)] for lex in witnesses],
         },
     )

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
 
@@ -25,6 +26,7 @@ DEFAULT_BUDGET = 10 ** 7
 _SIZE_CAP = 1_000_000
 
 ENUMERATION_MODES = ("all_intersecting", "shifted_intersecting", "maximal_intersecting")
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
 
 @dataclass(frozen=True)
@@ -195,12 +197,28 @@ def enumerate_families(
     carries ``avail``, the positions whose dominance covers are all chosen
     (every position outside shifted mode); when u joins, only the sets that
     cover u can become available, so each node tests at most k of them, and
-    every candidate the walk pops is addable.  A frame also carries its family
-    as a lex-sorted tuple, the parent's with the new set spliced in, which is
-    yielded as is.  Raises BudgetExceededError past ``budget`` visited nodes,
-    and up front, before the C(n, k)^2-bit disjointness table is built, when
-    C(n, k) + 1 > budget or C(n, k)^2 exceeds the size cap.
+    every candidate the walk pops is addable.  A frame also carries its
+    family as a lex mask, bit t for the t-th k-subset in lex order: the
+    parent's with u's bit set, decoded only as it is yielded here.  A set's
+    disjointness row is every position outside the union of its elements'
+    masks, an element's mask holding the positions of the sets with it.
+    Raises BudgetExceededError past ``budget`` visited nodes, and up front,
+    before any table is built, when C(n, k) + 1 > budget or the
+    C(n, k)^2-bit disjointness table exceeds the size cap.
     """
+    lexbase = None
+    for lex in _walk(n, k, mode, budget):
+        lexbase = lexbase or list(itertools.combinations(range(1, n + 1), k))
+        yield SetFamily._trusted(n, k, _mask_sets(lexbase, lex))
+
+
+def _mask_sets(lexbase: Iterable[SetTuple], lex: int) -> tuple[SetTuple, ...]:
+    """The sets a lex mask picks from the k-subsets listed in lex order."""
+    return tuple(itertools.compress(lexbase, bin(lex)[:1:-1].encode().translate(_BITS)))
+
+
+def _walk(n: int, k: int, mode: str, budget: int) -> Iterator[int]:
+    """The walk of ``enumerate_families``, yielding each family's lex mask."""
     if mode not in ENUMERATION_MODES:
         raise ValueError(f"unknown enumeration mode {mode!r}")
     if not (1 <= k <= n):
@@ -211,11 +229,16 @@ def enumerate_families(
     if N * N > _SIZE_CAP:
         raise BudgetExceededError(f"disjointness table would have {N * N} bits (cap {_SIZE_CAP})")
     base = list(itertools.combinations(range(1, n + 1), k))
+    lexpos = {s: t for t, s in enumerate(base)}
     if mode == "shifted_intersecting":
-        base.sort(key=lambda s: (sum(s), s))
+        base.sort(key=sum)  # by weight, then lex: the sort is stable
+    lexbit = [1 << lexpos[s] for s in base]
     full = (1 << N) - 1
-    bits = [sum(1 << a for a in s) for s in base]
-    disjoint = [sum(1 << u for u, b in enumerate(bits) if not a & b) for a in bits]
+    holding = [0] * (n + 1)  # holding[e]: positions of the sets that contain e
+    for u, s in enumerate(base):
+        for e in s:
+            holding[e] |= 1 << u
+    disjoint = [full & ~reduce(int.__or__, [holding[e] for e in s]) for s in base]
     covers = [0] * N
     upper: list[list[int]] = [[] for _ in range(N)]  # upper[u]: positions that cover u
     if mode == "shifted_intersecting":
@@ -229,37 +252,37 @@ def enumerate_families(
         avail = full
 
     maximal_only = mode == "maximal_intersecting"
-    nodes = 0
-    families = 0
-    # One frame per family on the current path: [candidates still to try,
-    # mask of chosen positions, union of their disjointness rows, avail,
-    # lex-sorted family].  Chosen positions increase along a path, so a
-    # candidate is a later available position outside the union (disjointness
-    # is symmetric), and each candidate popped is addable.
-    stack = [[avail, 0, 0, avail, ()]]
+    nodes = families = 0
+    # The node in hand, and each frame stacked while it has candidates left,
+    # hold [candidates still to try, mask of chosen positions, union of their
+    # disjointness rows, avail, lex mask].  Chosen positions increase along a
+    # path, so a candidate is a later available position outside the union
+    # (disjointness is symmetric), and each candidate popped is addable.
+    stack: list[list[int]] = []
+    cands, mask, blocked, lex = avail, 0, 0, 0
     while True:
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(
                 f"enumeration exceeded budget of {budget} nodes after {families} families"
             )
-        cands, mask, blocked, avail, sets = stack[-1]
         if not maximal_only or full & ~(mask | blocked) == 0:
             families += 1
-            yield SetFamily._trusted(n, k, sets)
-        while not cands:
-            stack.pop()
-            if not stack:
-                return
-            cands, mask, blocked, avail, sets = stack[-1]
+            yield lex
+        if cands:
+            stack.append([cands, mask, blocked, avail, lex])
+        elif not stack:
+            return
+        top = stack[-1]
+        cands, mask, blocked, avail, lex = top
         u = cands.bit_length() - 1
-        stack[-1][0] = cands ^ (1 << u)
+        top[0] ^= 1 << u
+        if not top[0]:
+            stack.pop()
         mask |= 1 << u
         for v in upper[u]:
             if not covers[v] & ~mask:
                 avail |= 1 << v
         blocked |= disjoint[u]
-        s = base[u]
-        at = bisect_left(sets, s)
+        lex |= lexbit[u]
         cands = avail & ~((2 << u) - 1) & ~blocked
-        stack.append([cands, mask, blocked, avail, sets[:at] + (s,) + sets[at:]])

@@ -212,6 +212,17 @@ class TestEnumerate:
                            "--mode", "all-intersecting", "--count-only")
         assert code == 0 and json.loads(out)["count"] == 27
 
+    @pytest.mark.parametrize("mode", ["all-intersecting", "shifted-intersecting", "maximal-intersecting"])
+    def test_count_only_matches_printing_summary(self, capsys, mode):
+        # --count-only counts masks without decoding them; its summary must
+        # close the printing run, after one line per family
+        argv = ("enumerate", "--n", "6", "--k", "3", "--mode", mode)
+        code, printed, _ = run(capsys, *argv)
+        assert code == 0
+        code, counted, _ = run(capsys, *argv, "--count-only")
+        assert code == 0 and printed.endswith(counted)
+        assert printed[: -len(counted)].count("\n") == json.loads(counted)["count"] > 1
+
     def test_budget_exceeded(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "6", "--k", "3",
                            "--mode", "all-intersecting", "--budget", "10",

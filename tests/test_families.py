@@ -16,7 +16,7 @@ from wedgeshift import (
     is_intersecting,
     is_star,
 )
-from wedgeshift.families import ENUMERATION_MODES
+from wedgeshift.families import DEFAULT_BUDGET, ENUMERATION_MODES, _mask_sets, _walk
 from samplers import star_family
 
 
@@ -232,19 +232,38 @@ class TestWalkDifferential:
             list(walk)
 
     @pytest.mark.parametrize("n,k", [(6, 3), (7, 3), (8, 4)])
-    def test_last_set_star_test_matches_is_star(self, n, k):
-        # the O(1) star test hilton_milner_verify applies to shifted families
-        for F in enumerate_families(n, k, "shifted_intersecting"):
-            if F.size:
-                assert (F.sets[-1][0] == 1) == (is_star(F) is not None)
+    def test_mask_star_test_matches_is_star(self, n, k):
+        # the test hilton_milner_verify applies: a shifted family's lex mask is
+        # below 2^C(n-1, k-1) iff the family is empty or a star
+        lexbase = list(itertools.combinations(range(1, n + 1), k))
+        star_below = 1 << comb(n - 1, k - 1)
+        for lex in _walk(n, k, "shifted_intersecting", DEFAULT_BUDGET):
+            F = SetFamily(n, k, _mask_sets(lexbase, lex))
+            assert F.sets == _mask_sets(lexbase, lex) and len(F) == lex.bit_count()
+            assert (lex < star_below) == (F.size == 0 or is_star(F) is not None)
+
+    def test_hm_verify_builds_no_family(self, monkeypatch):
+        # hilton_milner_verify reads the walk's masks: neither the checked nor
+        # the trusted door of SetFamily is entered
+        built = []
+        post_init, trusted = SetFamily.__post_init__, SetFamily._trusted.__func__
+        monkeypatch.setattr(SetFamily, "__post_init__",
+                            lambda self: built.append("checked") or post_init(self))
+        monkeypatch.setattr(SetFamily, "_trusted",
+                            classmethod(lambda cls, *a: built.append("trusted") or trusted(cls, *a)))
+        assert hilton_milner_verify(7, 3).certificate["enumerated"] == 72
+        assert built == []
+        next(enumerate_families(7, 3, "shifted_intersecting"))
+        fam(3, 1, (1,))
+        assert built == ["trusted", "checked"]
 
     @pytest.mark.parametrize("n,k,mode", [
         *((n, k, mode) for n, k in [(5, 2), (6, 3)] for mode in ENUMERATION_MODES),
         (8, 4, "shifted_intersecting"),
     ])
     def test_yielded_families_pass_validation(self, n, k, mode):
-        # the walk builds families unchecked; each must rebuild equal through
-        # the validating constructor, and stay lex-sorted for the star test
+        # enumerate_families decodes families unchecked; each must rebuild
+        # equal through the validating constructor and come lex-sorted
         for F in enumerate_families(n, k, mode):
             assert SetFamily(F.n, F.k, F.sets) == F
             assert list(F.sets) == sorted(F.sets)
