@@ -232,28 +232,25 @@ def hilton_milner_verify(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Verify
     # to all sets and 1 missing from some A, shifting v to 1 would put
     # A - v + 1, a set without v, in the family.  The sets holding 1 are the
     # first C(n-1, k-1) in lex order, so the stars (and the empty family) are
-    # exactly the lex masks below this threshold.
-    star_below = 1 << comb(n - 1, k - 1)
-    enumerated = checked = max_size = witness_count = 0
-    witnesses: list[int] = []  # lex masks of the first 10 of maximum size
+    # exactly the lex masks below 2^C(n-1, k-1): those of at most that many bits.
+    star_bits = comb(n - 1, k - 1)
+    enumerated = checked = max_size = 0
+    witnesses: list[int] = []  # lex masks of the families of maximum size
     for lex in _walk(n, k, "shifted_intersecting", budget):
         enumerated += 1
-        if lex < star_below:
+        if lex.bit_length() <= star_bits:
             continue
         checked += 1
         size = lex.bit_count()
         if size > bound:
-            sets = _mask_sets(itertools.combinations(range(1, n + 1), k), lex)
             raise FalsificationError(
-                f"non-star shifted intersecting family of size {size} > bound {bound}: {sets}"
+                f"non-star shifted intersecting family of size {size} > bound {bound}: "
+                f"{_mask_sets(n, k, lex)}"
             )
         if size > max_size:
-            max_size, witness_count, witnesses = size, 1, [lex]
+            max_size, witnesses = size, [lex]
         elif size == max_size:
-            witness_count += 1
-            if witness_count <= 10:
-                witnesses.append(lex)
-    lexbase = list(itertools.combinations(range(1, n + 1), k))
+            witnesses.append(lex)
     return VerifyReport(
         identifier=f"hilton-milner(n={n},k={k})",
         size=max_size,
@@ -263,7 +260,7 @@ def hilton_milner_verify(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Verify
             "enumerated": enumerated,
             "non_star_checked": checked,
             "max_size": max_size,
-            "witness_count": witness_count,
-            "witnesses": [[list(s) for s in _mask_sets(lexbase, lex)] for lex in witnesses],
+            "witness_count": len(witnesses),
+            "witnesses": [[list(s) for s in _mask_sets(n, k, lex)] for lex in witnesses[:10]],
         },
     )

@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
 
@@ -206,15 +206,18 @@ def enumerate_families(
     before any table is built, when C(n, k) + 1 > budget or the
     C(n, k)^2-bit disjointness table exceeds the size cap.
     """
-    lexbase = None
     for lex in _walk(n, k, mode, budget):
-        lexbase = lexbase or list(itertools.combinations(range(1, n + 1), k))
-        yield SetFamily._trusted(n, k, _mask_sets(lexbase, lex))
+        yield SetFamily._trusted(n, k, _mask_sets(n, k, lex))
 
 
-def _mask_sets(lexbase: Iterable[SetTuple], lex: int) -> tuple[SetTuple, ...]:
-    """The sets a lex mask picks from the k-subsets listed in lex order."""
-    return tuple(itertools.compress(lexbase, bin(lex)[:1:-1].encode().translate(_BITS)))
+@lru_cache(maxsize=4)
+def _lex_subsets(n: int, k: int) -> tuple[SetTuple, ...]:
+    return tuple(itertools.combinations(range(1, n + 1), k))
+
+
+def _mask_sets(n: int, k: int, lex: int) -> tuple[SetTuple, ...]:
+    """The k-subsets of [n] a lex mask picks: bit t for the t-th in lex order."""
+    return tuple(itertools.compress(_lex_subsets(n, k), bin(lex)[:1:-1].encode().translate(_BITS)))
 
 
 def _walk(n: int, k: int, mode: str, budget: int) -> Iterator[int]:
@@ -228,7 +231,7 @@ def _walk(n: int, k: int, mode: str, budget: int) -> Iterator[int]:
         raise BudgetExceededError(f"enumeration exceeds budget of {budget} nodes")
     if N * N > _SIZE_CAP:
         raise BudgetExceededError(f"disjointness table would have {N * N} bits (cap {_SIZE_CAP})")
-    base = list(itertools.combinations(range(1, n + 1), k))
+    base = list(_lex_subsets(n, k))
     lexpos = {s: t for t, s in enumerate(base)}
     if mode == "shifted_intersecting":
         base.sort(key=sum)  # by weight, then lex: the sort is stable

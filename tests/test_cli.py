@@ -276,6 +276,21 @@ class TestHmVerify:
         assert (code, out) == (1, "")
         assert err == "usage error: --budget must be at least 1, got -1\n"
 
+    @pytest.mark.parametrize("n,k", [(5000, 4), (100, 50)])
+    def test_walk_guards_come_first(self, capsys, n, k):
+        # the star threshold C(n-1, k-1) is never built as a 2^C(n-1, k-1)
+        # mask: shapes past the budget exit 3 at once, in little memory
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            code, out, err = run(capsys, "hm-verify", "--n", str(n), "--k", str(k))
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "") and "exceeds budget of 10000000 nodes" in err
+        assert elapsed < 0.5 and peak < 1 << 20
+
 
 class TestOracle:
     def test_file_mode(self, capsys, tmp_path):

@@ -234,13 +234,13 @@ class TestWalkDifferential:
     @pytest.mark.parametrize("n,k", [(6, 3), (7, 3), (8, 4)])
     def test_mask_star_test_matches_is_star(self, n, k):
         # the test hilton_milner_verify applies: a shifted family's lex mask is
-        # below 2^C(n-1, k-1) iff the family is empty or a star
-        lexbase = list(itertools.combinations(range(1, n + 1), k))
-        star_below = 1 << comb(n - 1, k - 1)
+        # below 2^C(n-1, k-1), of at most that many bits, iff the family is
+        # empty or a star
+        star_bits = comb(n - 1, k - 1)
         for lex in _walk(n, k, "shifted_intersecting", DEFAULT_BUDGET):
-            F = SetFamily(n, k, _mask_sets(lexbase, lex))
-            assert F.sets == _mask_sets(lexbase, lex) and len(F) == lex.bit_count()
-            assert (lex < star_below) == (F.size == 0 or is_star(F) is not None)
+            F = SetFamily(n, k, _mask_sets(n, k, lex))
+            assert F.sets == _mask_sets(n, k, lex) and len(F) == lex.bit_count()
+            assert (lex.bit_length() <= star_bits) == (F.size == 0 or is_star(F) is not None)
 
     def test_hm_verify_builds_no_family(self, monkeypatch):
         # hilton_milner_verify reads the walk's masks: neither the checked nor
