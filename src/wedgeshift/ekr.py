@@ -131,9 +131,8 @@ def _shifted_cert(n: int, k: int, sets: tuple[tuple[int, ...], ...]) -> dict:
             raise FalsificationError("complementary pair inside an intersecting family")
         node.update(bound=comb(n - 1, k - 1), case="complement-pairs", satisfied=size <= comb(n - 1, k - 1))
         return node
-    _, dele, link = family_decompose(SetFamily(n, k, sets), n)
-    link = SetFamily(n - 1, k - 1, link.sets)
-    dele = SetFamily(n - 1, k, dele.sets)
+    # the parts keep the labels of [n]: neither holds n, and no check reads n
+    _, dele, link = family_decompose(SetFamily._trusted(n, k, sets), n)
     if not is_intersecting(link):
         raise FalsificationError("link of a shifted intersecting family failed to intersect")
     if not is_shifted(link):
@@ -182,11 +181,12 @@ def ekr_pipeline(
 ) -> VerifyReport:
     """Bound the dimension of a self-annihilating subspace of grade k <= n/2.
 
-    Drives V to a shifted monomial fixed point of every decreasing shear
-    limit, checks its support family intersecting, and certifies the size by
-    the shifted induction.  Dimension and self-annihilation are re-verified
-    on each state as the drive applies it; any breakage raises
-    FalsificationError since each is a certified invariant of the limits."""
+    Drives V to a fixed point of every decreasing shear limit, which the
+    drive checks monomial and shifted, checks its support family
+    intersecting, and certifies the size by the shifted induction.
+    Dimension and self-annihilation are re-verified on each state as the
+    drive applies it; any breakage raises FalsificationError since each is
+    a certified invariant of the limits."""
     n, k = V.n, V.k
     if not (1 <= k and 2 * k <= n):
         raise ValueError(f"pipeline needs 1 <= k <= n/2, got n={n}, k={k}")
@@ -202,22 +202,23 @@ def ekr_pipeline(
 
     result, trace = triangular_fixed_point(V, route=route, on_step=recheck)
     fam = result.monomial_basis()
-    if not is_intersecting(fam):  # exit 2, not shifted_ekr_verify's ValueError (exit 1)
+    if not is_intersecting(fam):  # falsifies the limits: exit 2, where bad input exits 1
         raise FalsificationError("fixed-point support family is not intersecting")
-    sub = shifted_ekr_verify(fam)
+    cert = _shifted_cert(n, k, fam.sets)
+    bound = ekr_bound(n, k)
     certificate = {
         "route": route,
         "steps": [st.record() for st in trace],
         "family": [list(s) for s in fam.sets],
-        "recursion": sub.certificate,
+        "recursion": cert,
     }
     return VerifyReport(
         identifier=identifier or f"pipeline(n={n},k={k},dim={V.dim})",
         size=V.dim,
-        bound=sub.bound,
-        satisfied=V.dim <= sub.bound and sub.satisfied,
+        bound=bound,
+        satisfied=V.dim <= bound and cert["satisfied"],
         certificate=certificate,
-        star_element=sub.star_element,
+        star_element=is_star(fam),
     )
 
 

@@ -56,6 +56,8 @@ class SetFamily:
     """A duplicate-free family of k-subsets of [n], stored sorted lexicographically.
 
     k = 0 is tolerated only so links of singleton families are representable.
+    Calling the class checks and sorts sets from outside the package; families
+    the package builds itself, sorted and valid, go through ``_trusted``.
     """
 
     n: int
@@ -109,18 +111,18 @@ def is_intersecting(F: SetFamily) -> bool:
     return all(set(a).intersection(b) for a, b in itertools.combinations(F.sets, 2))
 
 
+def _dominance_covers(s: SetTuple) -> list[SetTuple]:
+    """Immediate predecessors under the componentwise order: one element down
+    by one, onto a value above the element before it, so the set stays sorted."""
+    return [s[:t] + (a - 1,) + s[t + 1:] for t, a in enumerate(s) if a - 1 > (s[t - 1] if t else 0)]
+
+
 def is_shifted(F: SetFamily) -> bool:
-    """Closed under replacing any element i by any smaller absent element j."""
+    """Closed under replacing any element i by any smaller absent element j,
+    checked on the dominance covers alone as the walk does: each cover is such
+    a replacement, and each replacement a chain of covers (a lower set)."""
     members = set(F.sets)
-    for s in F.sets:
-        present = set(s)
-        for i in s:
-            for j in range(1, i):
-                if j in present:
-                    continue
-                if tuple(sorted(present.difference((i,)).union((j,)))) not in members:
-                    return False
-    return True
+    return all(c in members for s in F.sets for c in _dominance_covers(s))
 
 
 def combinatorial_shift(F: SetFamily, pair: ShiftPair) -> SetFamily:
@@ -137,24 +139,27 @@ def combinatorial_shift(F: SetFamily, pair: ShiftPair) -> SetFamily:
             out.append(target if target not in members else s)
         else:
             out.append(s)
-    return SetFamily(F.n, F.k, tuple(out))
+    return SetFamily._trusted(F.n, F.k, tuple(sorted(out)))
 
 
 def family_decompose(F: SetFamily, v: int) -> tuple[SetFamily, SetFamily, SetFamily]:
     """Split into (star, deletion, link) at v.
 
     star holds the sets containing v, deletion the rest, and link the star
-    sets with v removed; link keeps the original labels on [n] minus v.
+    sets with v removed; link keeps the original labels on [n] minus v.  The
+    link stays lex-sorted: dropping v keeps each symmetric difference.
     """
     if not (1 <= v <= F.n):
         raise ValueError(f"element {v} out of range for ground set [{F.n}]")
+    if F.k == 0:
+        raise ValueError("a 0-uniform family has no link")
     star = tuple(s for s in F.sets if v in s)
     dele = tuple(s for s in F.sets if v not in s)
     link = tuple(tuple(a for a in s if a != v) for s in star)
     return (
-        SetFamily(F.n, F.k, star),
-        SetFamily(F.n, F.k, dele),
-        SetFamily(F.n, F.k - 1, link),
+        SetFamily._trusted(F.n, F.k, star),
+        SetFamily._trusted(F.n, F.k, dele),
+        SetFamily._trusted(F.n, F.k - 1, link),
     )
 
 
@@ -168,16 +173,6 @@ def is_star(F: SetFamily) -> Optional[int]:
         if not common:
             return None
     return min(common) if common else None
-
-
-def _dominance_covers(s: SetTuple) -> list[SetTuple]:
-    """Immediate predecessors under the componentwise order: one element down by one."""
-    out = []
-    present = set(s)
-    for idx, a in enumerate(s):
-        if a - 1 >= 1 and a - 1 not in present:
-            out.append(tuple(sorted(s[:idx] + (a - 1,) + s[idx + 1:])))
-    return out
 
 
 def enumerate_families(

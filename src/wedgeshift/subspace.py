@@ -188,10 +188,11 @@ class Subspace(metaclass=_CheckedCall):
         return members
 
     def monomial_basis(self) -> Optional[SetFamily]:
-        """Support family when every canonical row is a single monomial, else None."""
+        """Support family when every canonical row is a single monomial, else
+        None; the pivots, sorted into lex order (weight2's is not), need no check."""
         if any(len(row) != 1 for row in self._rows):
             return None
-        return SetFamily(self.n, self.k, tuple(next(iter(row)) for row in self._rows))
+        return SetFamily._trusted(self.n, self.k, tuple(sorted(next(iter(row)) for row in self._rows)))
 
     def pluecker(self) -> PlueckerVector:
         """All maximal minors of the canonical row matrix, projectively normalized.

@@ -26,6 +26,7 @@ from wedgeshift import (
 import wedgeshift.ekr as ekr
 import wedgeshift.limits as limits
 from wedgeshift.ekr import _shifted_cert
+from wedgeshift.cli import main
 from wedgeshift.limits import ROUTES, triangular_fixed_point
 from wedgeshift.sampling import random_invertible
 
@@ -199,6 +200,39 @@ class TestPipeline:
             assert all(st["dim"] == V.dim for st in report.certificate["steps"])
             assert report.satisfied
 
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_builds_no_checked_family(self, rng, monkeypatch, route):
+        # the fixed-point family and the certificate's parts are package
+        # built: none goes through the validating constructor
+        V = TestStepwiseRecheck.source(rng)
+        built = []
+        post_init = SetFamily.__post_init__
+        monkeypatch.setattr(SetFamily, "__post_init__", lambda self: built.append(self) or post_init(self))
+        report = ekr_pipeline(V, route=route)
+        assert report.satisfied and len(report.certificate["steps"]) > 1
+        assert built == []
+
+
+class TestFixedPointIntersecting:
+    """The drive certifies the fixed point monomial and shifted; the pipeline
+    itself checks its family intersecting, and a failure falsifies (exit 2)."""
+
+    @pytest.fixture
+    def disjoint_fixed_point(self, monkeypatch):
+        # {12, 13, 14, 23} is shifted, but 14 and 23 are disjoint
+        W = monomial_span(4, 2, [(1, 2), (1, 3), (1, 4), (2, 3)])
+        assert is_shifted(W.monomial_basis()) and not is_intersecting(W.monomial_basis())
+        monkeypatch.setattr(ekr, "triangular_fixed_point", lambda V, route, on_step: (W, []))
+
+    def test_library_raises(self, disjoint_fixed_point):
+        with pytest.raises(FalsificationError, match="fixed-point support family is not intersecting"):
+            ekr_pipeline(monomial_span(4, 2, [(1, 2)]))
+
+    def test_cli_exits_2(self, disjoint_fixed_point, capsys):
+        code = main(["pipeline", '{"n": 4, "k": 2, "basis": ["e1^e2"]}'])
+        assert code == 2
+        assert "fixed-point support family is not intersecting" in capsys.readouterr().err
 
 
 class TestStepwiseRecheck:

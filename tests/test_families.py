@@ -8,13 +8,18 @@ import pytest
 
 from wedgeshift import (
     BudgetExceededError,
+    MonomialOrder,
+    Multivector,
     SetFamily,
     ShiftPair,
+    combinatorial_shift,
     enumerate_families,
     family_decompose,
     hilton_milner_verify,
     is_intersecting,
+    is_shifted,
     is_star,
+    span,
 )
 from wedgeshift.families import DEFAULT_BUDGET, ENUMERATION_MODES, _mask_sets, _walk
 from samplers import star_family
@@ -80,6 +85,11 @@ class TestDecompose:
         F = fam(3, 2, (1, 2))
         star, dele, link = family_decompose(F, 3)
         assert star.size == 0 and dele == F and link.size == 0
+
+    def test_zero_uniform_has_no_link(self):
+        for F in (fam(3, 0), fam(3, 0, ())):
+            with pytest.raises(ValueError, match="no link"):
+                family_decompose(F, 1)
 
 
 class TestStar:
@@ -289,3 +299,109 @@ class TestWalkDifferential:
         assert cert["max_size"] == max_size
         assert cert["witness_count"] == len(witnesses)
         assert cert["witnesses"] == [[list(s) for s in w] for w in witnesses[:10]]
+
+
+def _closed_under_replacements(F):
+    """The definition of shifted: replacing any member's element i by any
+    smaller absent j gives a member."""
+    members = set(F.sets)
+    return all(tuple(sorted(set(s) - {i} | {j})) in members
+               for s in F.sets for i in s for j in range(1, i) if j not in s)
+
+
+def _subfamilies(n, k):
+    pool = list(itertools.combinations(range(1, n + 1), k))
+    for mask in range(1 << len(pool)):
+        yield SetFamily(n, k, tuple(s for t, s in enumerate(pool) if mask >> t & 1))
+
+
+class TestShiftedCoverRule:
+    """is_shifted checks one-step covers only; it must agree with the
+    all-replacements definition."""
+
+    @pytest.mark.parametrize("n,k,shifted", [(4, 2, 8), (5, 2, 16)])
+    def test_every_family(self, n, k, shifted):
+        # 2^6 and 2^10 families; the shifted ones are the down-sets of the
+        # componentwise order, at (4, 2) those of 12 < 13 < {14, 23} < 24 < 34
+        verdicts = [is_shifted(F) for F in _subfamilies(n, k)]
+        assert verdicts == [_closed_under_replacements(F) for F in _subfamilies(n, k)]
+        assert verdicts.count(True) == shifted
+
+    @pytest.mark.parametrize("F", [fam(4, 0), fam(4, 0, ()), fam(4, 2), fam(3, 3, (1, 2, 3)),
+                                   fam(1, 1, (1,)), fam(5, 1, (1,), (2,)), fam(5, 1, (1,), (3,))])
+    def test_edge_shapes(self, F):
+        assert is_shifted(F) == _closed_under_replacements(F)
+
+    def test_random_families(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def families(draw):
+            n = draw(st.integers(1, 8))
+            k = draw(st.integers(0, n))
+            pool = list(itertools.combinations(range(1, n + 1), k))
+            sets = set(draw(st.lists(st.sampled_from(pool), max_size=12)))
+            if draw(st.booleans()):  # close downward, then maybe drop one member
+                todo = list(sets)
+                while todo:
+                    s = todo.pop()
+                    for i in s:
+                        for j in range(1, i):
+                            low = tuple(sorted(set(s) - {i} | {j}))
+                            if j not in s and low not in sets:
+                                sets.add(low)
+                                todo.append(low)
+                if sets and draw(st.booleans()):
+                    sets.discard(draw(st.sampled_from(sorted(sets))))
+            return SetFamily(n, k, tuple(sets))
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(families())
+        def check(F):
+            assert is_shifted(F) == _closed_under_replacements(F)
+
+        check()
+
+
+def _assert_checked_rebuild(F):
+    assert SetFamily(F.n, F.k, F.sets) == F
+    assert list(F.sets) == sorted(F.sets)
+
+
+class TestTrustedPaths:
+    """Families the package builds skip the validating constructor; each must
+    rebuild equal through it and come lex-sorted."""
+
+    @pytest.mark.parametrize("kind", ["lex", "weight2"])
+    def test_monomial_basis(self, kind, rng):
+        # under weight2, {2,3} (weight 12) is the pivot before {1,4} (18)
+        V = span([Multivector.monomial(4, s) for s in [(1, 4), (2, 3)]], MonomialOrder(kind, 4, 2))
+        F = V.monomial_basis()
+        _assert_checked_rebuild(F)
+        assert F.sets == ((1, 4), (2, 3))
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            k = rng.randint(1, min(3, n))
+            pool = list(itertools.combinations(range(1, n + 1), k))
+            sets = rng.sample(pool, rng.randint(0, len(pool)))
+            F = span([Multivector.monomial(n, s) for s in sets], MonomialOrder(kind, n, k)).monomial_basis()
+            _assert_checked_rebuild(F)
+            assert set(F.sets) == set(sets)
+
+    def test_family_decompose(self, rng):
+        pool = list(itertools.combinations(range(1, 7), 3))
+        randoms = [SetFamily(6, 3, tuple(rng.sample(pool, rng.randint(0, 20)))) for _ in range(50)]
+        for F in [*enumerate_families(6, 3, "shifted_intersecting"), *randoms]:
+            for v in range(1, 7):
+                for part in family_decompose(F, v):
+                    _assert_checked_rebuild(part)
+
+    def test_combinatorial_shift(self):
+        # (2, 3) moves to (1, 2), which lands before the unmoved (1, 3)
+        out = combinatorial_shift(fam(4, 2, (1, 3), (2, 3)), ShiftPair(3, 1))
+        _assert_checked_rebuild(out)
+        assert out.sets == ((1, 2), (1, 3))
+        for F in _subfamilies(4, 2):
+            for i, j in itertools.permutations(range(1, 5), 2):
+                _assert_checked_rebuild(combinatorial_shift(F, ShiftPair(i, j)))
