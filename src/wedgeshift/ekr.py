@@ -6,10 +6,10 @@ general self-annihilating subspaces are handled by driving them to a shifted
 monomial fixed point first and certifying the resulting family.  Desk-scale
 enumeration backs the non-star bound check.
 
-Self-annihilation takes one packed product per row: the rows from j on ride
-as base-2^L digits of one term map (Kronecker substitution), 2^L above twice
-the largest digit a product can make, so the packed product is zero exactly
-when every digit is: the lowest nonzero digit is nonzero mod 2^L.
+Self-annihilation takes one packed product per row: rows 0..j, packed from
+the first, ride as base-2^L digits of one term map (Kronecker substitution),
+2^L above twice the largest digit a product makes, so the product is zero
+exactly when every digit is: the lowest nonzero digit is nonzero mod 2^L.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ def self_annihilating(V: Subspace, s: int = 2) -> bool:
     All multisets of rows are checked, the diagonal included; by
     multilinearity this settles the whole subspace, and the integer rows
     serve because scaling a row does not change whether a product vanishes.
-    They are packed from the last, P_j = r_j + (P_{j+1} << L), so Q ^ P_j
-    holds Q ^ r_l as its base-2^L digit at l - j for every l >= j, with Q = r_j
-    times a multiset of s - 2 rows of index <= j.  A digit sums
+    They are packed from the first, P_j = P_{j-1} + (r_j << L*j) in place,
+    so Q ^ P_j holds Q ^ r_l as its base-2^L digit at l for every l <= j,
+    with Q = r_j times a multiset of s - 2 rows of index >= j.  A digit sums
     prod_{t=2..s} C(tk, k) terms of size at most M^s, M the largest
     |coefficient|, so it is below 2^(L-1); the lowest nonzero digit is then
     nonzero mod 2^L, and Q ^ P_j is zero exactly when every digit is."""
@@ -99,12 +99,12 @@ def self_annihilating(V: Subspace, s: int = 2) -> bool:
     M = max((abs(c) for row in rows for c in row.values()), default=0)
     L = (M**s * prod(comb(t * V.k, V.k) for t in range(2, s + 1))).bit_length() + 1
     packed: dict = {}
-    for j in range(len(rows) - 1, -1, -1):
-        r = rows[j]
-        packed = {sup: r.get(sup, 0) + (packed.get(sup, 0) << L) for sup in r.keys() | packed.keys()}
-        for prefix in itertools.combinations_with_replacement(rows[: j + 1], s - 2):
+    for j, r in enumerate(rows):
+        for sup, c in r.items():
+            packed[sup] = packed.get(sup, 0) + (c << L * j)
+        for suffix in itertools.combinations_with_replacement(rows[j:], s - 2):
             acc = r
-            for x in prefix:
+            for x in suffix:
                 acc = wedge_core(V.n, x, acc)
                 if not acc:
                     break

@@ -17,7 +17,7 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .errors import BudgetExceededError, FalsificationError, HomogeneityError
-from .exterior import Multivector, Support, integer_terms, wedge, wedge_core
+from .exterior import Multivector, Support, _partners, integer_terms, wedge
 from .ekr import self_annihilating
 from .families import _SIZE_CAP
 from .linalg import column_kernel
@@ -27,17 +27,18 @@ from .subspace import MonomialOrder, Subspace, span
 def _annihilator(n: int, vectors: Sequence[Mapping[Support, int]]) -> Subspace:
     """Grade-one elements a with a wedge v = 0 for every given integer term
     map v: the kernel of the columns e_i -> (e_i wedge v for each v), keyed
-    by (position of v, support), held as integer wedges.  The kernel's
-    integer vectors span the result.  No vectors, or grade n, leave every
-    column empty and the whole space."""
-    columns = []
-    for i in range(1, n + 1):
-        e = {(i,): 1}
-        col: dict = {}
-        for pos, v in enumerate(vectors):
-            for sup, c in wedge_core(n, e, v).items():
-                col[(pos, sup)] = c
-        columns.append(col)
+    by (position of v, support), held as integers.  All n columns are built
+    in one pass per vector from the cached table of each support's grade-one
+    partners: e_i ^ e_S = (-1)^|S| e_S ^ e_i, and distinct terms of v land
+    on distinct supports in column i.  The kernel's integer vectors span the
+    result.  No vectors, or grade n, leave every column empty and the whole
+    space."""
+    columns: list[dict] = [{} for _ in range(n)]
+    for pos, v in enumerate(vectors):
+        for sx, c in v.items():
+            c = -c if len(sx) % 2 else c
+            for (i,), sup, sign in _partners(n, sx, 1):
+                columns[i - 1][(pos, sup)] = sign * c
     kernel = [{(i + 1,): c for i, c in enumerate(vec) if c} for vec in column_kernel(columns)]
     return Subspace._trusted(MonomialOrder("lex", n, 1), kernel)
 

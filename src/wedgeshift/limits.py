@@ -13,13 +13,16 @@ family, so "every decreasing shear fixes the span" and "the family is
 shifted" are the same condition.  On a monomial subspace each shear limit is
 the combinatorial shift of the support family.  An independent oracle
 recomputes shear limits through Plücker coordinates: the leading coefficient,
-in the shear parameter, of the wedge of the sheared rows.
+in the shear parameter t, of the wedge of the sheared rows.  It sets t = 2^L
+with 2^(L-1) > B = prod(|r|_1 + |x|_1), a bound on every coefficient, so one
+integer per coordinate holds every power of t as a base-2^L digit; the top
+power is read from the bit lengths and its coefficient off the top digit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from .errors import FalsificationError, IterationLimitError
@@ -89,34 +92,37 @@ def pluecker_limit(V: Subspace, pair: PairLike) -> PlueckerVector:
     the limit point.  Must agree with the Plücker vector of limit_shift
     projectively.
 
-    The coefficients stay integer maps from the integer wedge core: r is
-    V's integer row and x its image, whose coefficients are a signed subset
-    of r's.  Each row is a multiple of its pivot-1 row, and every
-    coefficient carries the product of those factors, which the projective
-    normalization divides out."""
+    The polynomial is one integer map (Kronecker substitution): t = 2^L,
+    each lifted row is r + (x << L), and wedge_core chains the rows.  Each
+    coefficient of each power of t is at most B = prod(|r|_1 + |x|_1) in
+    size, below 2^(L-1) for L = bitlen(B) + 1, so a packed value v sums
+    balanced base-2^L digits.  With the top one, c, at degree e, the lower
+    ones sum below 2^(L*e-1) in size, so 2^(L*e-1) < |v| < 2^(L*(e+1)-1):
+    e = bitlen(|v|) // L, and c = (v + 2^(L*e-1)) >> (L*e).  The read takes
+    a leading coefficient in t, sharing no step with limit_shift's residues.
+
+    r is V's integer row, a multiple of its pivot-1 row, and x its image,
+    a signed subset of r's coefficients; the projective normalization
+    divides out the product of the row factors."""
     p = _as_pair(pair, V.n)
-    m = V.dim
-    if m == 0:
+    if V.is_zero:
         raise ValueError("zero subspace has no Pluecker vector")
-    _check_pluecker_size(comb(comb(V.n, V.k), m))
-    rows = list(V._rows)
-    columns, lifted = _lift(V.order, rows + [_replaced(r, p.i, p.j) for r in rows])
-    ncols = len(columns)
-    # by_degree[d] is the coefficient of t^d in the wedge of the rows so far
-    by_degree: list[dict] = [{(): 1}]
-    for rs, xs in zip(lifted[:m], lifted[m:]):
-        step = [wedge_core(ncols, same, rs) for same in by_degree] + [{}]
-        for deg, lower in enumerate(by_degree, 1):
-            acc = step[deg]
-            for sup, v in wedge_core(ncols, lower, xs).items():
-                v += acc.get(sup, 0)
-                if v:
-                    acc[sup] = v
-                else:
-                    del acc[sup]
-        by_degree = step
-    top = max(deg for deg, c in enumerate(by_degree) if c)
-    return _pluecker_vector(V.order, columns, by_degree[top])
+    _check_pluecker_size(comb(comb(V.n, V.k), V.dim))
+    rows = V._rows
+    images = [_replaced(r, p.i, p.j) for r in rows]
+    B = prod(sum(map(abs, r.values())) + sum(map(abs, x.values())) for r, x in zip(rows, images))
+    L = B.bit_length() + 1
+    columns, lifted = _lift(V.order, [
+        {s: r.get(s, 0) + (x.get(s, 0) << L) for s in r.keys() | x.keys()} for r, x in zip(rows, images)
+    ])
+    product = lifted[0]
+    for row in lifted[1:]:
+        product = wedge_core(len(columns), product, row)
+    top = max(abs(v).bit_length() // L for v in product.values())
+    half = (1 << L * top) >> 1
+    return _pluecker_vector(V.order, columns, {
+        sup: (v + half) >> L * top for sup, v in product.items() if abs(v).bit_length() // L == top
+    })
 
 
 @dataclass(frozen=True)

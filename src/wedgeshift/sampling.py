@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .exterior import LinearMap, Multivector
+from .exterior import LinearMap, Multivector, integer_terms
 from .linalg import rref
 from .subspace import MonomialOrder, Subspace
 
@@ -36,7 +36,7 @@ def random_multivector(
                 terms[s] = c
     if nonzero and not terms:
         terms[rng.choice(supports)] = random_rational(rng, nonzero=True)
-    return Multivector(n, terms)
+    return Multivector._trusted(n, terms)  # nonzero Fractions on sorted supports
 
 
 def random_subspace(
@@ -45,7 +45,7 @@ def random_subspace(
     """Span of m random multivectors, resampled until the dimension is exactly m."""
     for _ in range(attempts):
         vecs = [random_multivector(rng, order.n, order.k) for _ in range(m)]
-        V = Subspace(order, vecs)
+        V = Subspace._trusted(order, [integer_terms(v)[0] for v in vecs])
         if V.dim == m:
             return V
     raise RuntimeError(f"failed to sample a {m}-dimensional subspace")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import comb
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
@@ -200,15 +199,16 @@ class Subspace(metaclass=_CheckedCall):
         The minors are the coefficients of the wedge of the rows lifted to
         grade one; coordinates are indexed by m-subsets of the monomial
         coordinates, in lexicographic order of their positions in the
-        monomial order.  It goes through the public ``rows`` and ``wedge``,
-        not the integer rows that ``pluecker_limit`` reads.
+        monomial order.  It goes through the public ``rows`` and one ``wedge``
+        call, not the integer rows that ``pluecker_limit`` reads.
         """
         m = self.dim
         if m == 0:
             raise ValueError("zero subspace has no Pluecker vector")
         _check_pluecker_size(comb(comb(self.n, self.k), m))
         columns, lifted = _lift(self.order, [r.terms for r in self.rows])
-        product = reduce(wedge, [Multivector._trusted(len(columns), row) for row in lifted])
+        factors = [Multivector._trusted(len(columns), row) for row in lifted]
+        product = wedge(*factors) if m > 1 else factors[0]
         return _pluecker_vector(self.order, columns, product.terms)
 
     def __eq__(self, other: object) -> bool:
