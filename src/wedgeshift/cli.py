@@ -2,7 +2,8 @@
 
 Exit codes: 0 verified/completed, 1 input or usage error, 2 a certified claim
 was falsified (bound violated, oracle mismatch, broken invariant), 3 budget
-or iteration cap exceeded.
+or iteration cap exceeded; 3 also for MemoryError, RecursionError and
+OverflowError, each reported on one ``budget:`` line that names it.
 """
 
 from __future__ import annotations
@@ -299,6 +300,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (BudgetExceededError, IterationLimitError) as exc:
         print(f"budget: {exc}", file=sys.stderr)
+        return 3
+    except (MemoryError, RecursionError, OverflowError) as exc:
+        print(f"budget: {exc!r}", file=sys.stderr)  # the repr names it, on one line
         return 3
 
 

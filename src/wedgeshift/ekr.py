@@ -6,17 +6,16 @@ general self-annihilating subspaces are handled by driving them to a shifted
 monomial fixed point first and certifying the resulting family.  Desk-scale
 enumeration backs the non-star bound check.
 
-Self-annihilation takes one packed product per row: rows 0..j, packed from
-the first, ride as base-2^L digits of one term map (Kronecker substitution),
-2^L above twice the largest digit a product makes, so the product is zero
-exactly when every digit is: the lowest nonzero digit is nonzero mod 2^L.
+Self-annihilation, V ^ V = 0, takes one packed product per row: row j meets
+rows 0..j packed as base-2^L digits of one term map (Kronecker substitution).
+A digit is the wedge of two rows, at most C(2k, k) M^2 in size, and 2^L is
+above twice that, so the product is zero exactly when every digit is.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 from typing import Optional
 
 from .errors import BudgetExceededError, FalsificationError
@@ -81,35 +80,25 @@ class VerifyReport:
         }
 
 
-def self_annihilating(V: Subspace, s: int = 2) -> bool:
-    """True when every s-fold wedge of canonical rows vanishes.
+def self_annihilating(V: Subspace) -> bool:
+    """True when V ^ V = 0: every wedge of two canonical rows vanishes.
 
-    All multisets of rows are checked, the diagonal included; by
-    multilinearity this settles the whole subspace, and the integer rows
-    serve because scaling a row does not change whether a product vanishes.
-    They are packed from the first, P_j = P_{j-1} + (r_j << L*j) in place,
-    so Q ^ P_j holds Q ^ r_l as its base-2^L digit at l for every l <= j,
-    with Q = r_j times a multiset of s - 2 rows of index >= j.  A digit sums
-    prod_{t=2..s} C(tk, k) terms of size at most M^s, M the largest
-    |coefficient|, so it is below 2^(L-1); the lowest nonzero digit is then
-    nonzero mod 2^L, and Q ^ P_j is zero exactly when every digit is."""
-    if s < 2:
-        raise ValueError(f"need s >= 2, got {s}")
+    All pairs of rows are checked, the diagonal included: by bilinearity that
+    settles V, and the integer rows serve, as scaling a row keeps a zero product
+    zero.  They are packed from the first, P_j = P_{j-1} + (r_j << L*j) in
+    place, so r_j ^ P_j holds r_j ^ r_l as its base-2^L digit at l for each
+    l <= j.  A digit sums C(2k, k) terms of size at most M^2 (M the largest
+    |coefficient|), so it is below 2^(L-1): the lowest nonzero digit is then
+    nonzero mod 2^L, and r_j ^ P_j is zero exactly when every digit is."""
     rows = V._rows
     M = max((abs(c) for row in rows for c in row.values()), default=0)
-    L = (M**s * prod(comb(t * V.k, V.k) for t in range(2, s + 1))).bit_length() + 1
+    L = (M * M * comb(2 * V.k, V.k)).bit_length() + 1
     packed: dict = {}
     for j, r in enumerate(rows):
         for sup, c in r.items():
             packed[sup] = packed.get(sup, 0) + (c << L * j)
-        for suffix in itertools.combinations_with_replacement(rows[j:], s - 2):
-            acc = r
-            for x in suffix:
-                acc = wedge_core(V.n, x, acc)
-                if not acc:
-                    break
-            if acc and wedge_core(V.n, acc, packed):
-                return False
+        if wedge_core(V.n, r, packed):
+            return False
     return True
 
 

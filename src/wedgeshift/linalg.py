@@ -65,23 +65,22 @@ def rref(
     so dividing it by its pivot gives the pivot-1 row: one form per span.
     Both passes are ``reduce_row`` and one content division: each new row
     against the echelon rows, then each echelon row holding the new pivot
-    against the new row.  Signs met on the way are fixed at the end."""
+    against the new row.  A row joins with a positive pivot and keeps it: the
+    second pass scales it by a positive lcm, then subtracts a row zero there."""
     echelon: dict[Hashable, Row] = {}  # pivot -> primitive row, zero at the other pivots
     for row in rows:
         cur = _primitive(reduce_row(row, echelon)[0])
         if not cur:
             continue
         piv = min(cur, key=key)
+        if cur[piv] < 0:
+            cur = {col: -v for col, v in cur.items()}
         for c, other in echelon.items():
             if piv in other:
                 echelon[c] = _primitive(reduce_row(other, {piv: cur})[0])
         echelon[piv] = cur
     pivots = sorted(echelon, key=key)
-    reduced = []
-    for c in pivots:
-        row = echelon[c]
-        reduced.append(row if row[c] > 0 else {col: -v for col, v in row.items()})
-    return reduced, pivots
+    return [echelon[c] for c in pivots], pivots
 
 
 def column_kernel(columns: Sequence[Mapping[Hashable, int]]) -> list[list[int]]:

@@ -20,7 +20,7 @@ from typing import Union
 from .errors import ParseError
 from .exterior import format_multivector, parse_terms
 from .families import SetFamily
-from .subspace import MonomialOrder, ORDER_KINDS, Subspace, _check_grade
+from .subspace import MonomialOrder, Subspace, _check_grade
 
 
 def _is_int(x) -> bool:
@@ -76,8 +76,6 @@ def subspace_from_record(obj: dict) -> Subspace:
     kind = obj.get("order", "lex")
     if not isinstance(kind, str):
         raise ParseError("subspace record 'order' must be a string")
-    if kind not in ORDER_KINDS:
-        raise ParseError(f"unknown monomial order {kind!r}")
     try:
         order = MonomialOrder(kind, obj["n"], obj["k"])
     except ValueError as exc:

@@ -1,16 +1,21 @@
-"""Independent subspace oracles for tests: rank, kernel, membership, intersection.
+"""Independent oracles for tests: rank, kernel, membership, intersection, the
+wedge and self-annihilation.
 
 Vectors become dense Fraction rows over the supports they touch, and a plain
 Gauss–Jordan loop written here ranks them and finds kernels, so nothing goes
 through the package's elimination kernel or its reduction against canonical
 rows.  Subspaces are compared by building the package's canonical form of the
-oracle's answer.
+oracle's answer.  The wedge is the package's as one function, before its
+integer core was split out, and self-annihilation takes every product of two
+rows in full with it, so neither goes through ``wedge_core`` or its packing.
 """
 
+import itertools
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
-from wedgeshift import Multivector, Subspace
+import wedgeshift.exterior as exterior
+from wedgeshift import GroundMismatchError, Multivector, Subspace, merge_sign
 
 
 def integer_row(row):
@@ -80,3 +85,41 @@ def intersect(V, W):
 def apply_map(V, f):
     """Span of the images of V's canonical rows under a grade-preserving map."""
     return Subspace(V.order, [f(r) for r in V.rows])
+
+
+def parent_wedge(x, y):
+    """The wedge as one function, before the integer core was split out:
+    both factors are rescaled on every call.  Kept as the reference of the
+    differential tests of the core."""
+    if x.n != y.n:
+        raise GroundMismatchError(f"ground dimensions differ: {x.n} vs {y.n}")
+    n = x.n
+    a = lcm(*(c.denominator for c in x.terms.values()))
+    b = lcm(*(c.denominator for c in y.terms.values()))
+    by_grade = {}
+    for sy, c in y.terms.items():
+        by_grade.setdefault(len(sy), {})[sy] = c.numerator * (b // c.denominator)
+    acc = {}
+    for sx, c in x.terms.items():
+        cx = c.numerator * (a // c.denominator)
+        free = n - len(sx)
+        for g, ys in by_grade.items():
+            if comb(free, g) < len(ys):
+                for sy, sup, sign in exterior._partners(n, sx, g):
+                    cy = ys.get(sy)
+                    if cy is not None:
+                        acc[sup] = acc.get(sup, 0) + sign * cx * cy
+            else:
+                setx = set(sx)
+                for sy, cy in ys.items():
+                    if setx.isdisjoint(sy):
+                        sup = tuple(sorted(sx + sy))
+                        acc[sup] = acc.get(sup, 0) + merge_sign(sx, sy) * cx * cy
+    d = a * b
+    return Multivector(n, {sup: Fraction(v, d) for sup, v in acc.items() if v})
+
+
+def reference_self_annihilating(V):
+    """Every product of two canonical rows, the diagonal included, taken in
+    full by parent_wedge."""
+    return all(parent_wedge(x, y).is_zero for x, y in itertools.combinations_with_replacement(V.rows, 2))

@@ -1,11 +1,11 @@
 """Seeded samplers only tests use, drawing from the generator in the same
 sequence as before they left ``wedgeshift.sampling``, so seeded tests keep
-their inputs, and the star family."""
+their inputs, the star family, and the span of a family's monomials."""
 
 import itertools
 from fractions import Fraction
 
-from wedgeshift import LinearMap, SetFamily
+from wedgeshift import LinearMap, MonomialOrder, Multivector, SetFamily, span
 from wedgeshift.sampling import random_rational
 
 
@@ -40,3 +40,9 @@ def random_intersecting_family(rng, n, k, max_size=None):
         if all(set(s).intersection(t) for t in chosen):
             chosen.append(s)
     return SetFamily(n, k, tuple(chosen))
+
+
+def monomial_span(n, k, sets, kind="lex"):
+    """Span of the monomials e_S, S in sets, in the order ``kind``."""
+    order = MonomialOrder(kind, n, k)
+    return span([Multivector.monomial(n, s) for s in sets], order) if sets else span([], order)

@@ -13,7 +13,7 @@ from math import comb
 import pytest
 
 from oracles import apply_map, contains
-from samplers import random_intersecting_family, random_upper_triangular
+from samplers import monomial_span, random_intersecting_family, random_upper_triangular
 from wedgeshift import (
     MonomialOrder,
     Multivector,
@@ -38,17 +38,10 @@ from wedgeshift import (
     pluecker_limit,
     self_annihilating,
     shifted_ekr_verify,
-    span,
     wedge,
 )
 from wedgeshift.families import ShiftPair
 from wedgeshift.sampling import random_multivector, random_subspace
-
-
-def monomial_span(n, k, sets, kind="lex"):
-    order = MonomialOrder(kind, n, k)
-    vecs = [Multivector.monomial(n, s) for s in sets]
-    return span(vecs, order) if vecs else span([], order)
 
 
 def all_ordered_pairs(n):

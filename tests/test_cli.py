@@ -368,6 +368,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify-family", star_file)
         assert code == 2 and "falsification" in err
 
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError, OverflowError])
+    @pytest.mark.parametrize("target, argv", [
+        ("factor_report", ("factor", "--n", "3", "e1^e2")),
+        ("hilton_milner_verify", ("hm-verify", "--n", "6", "--k", "2")),
+    ])
+    def test_resource_exhaustion_is_three(self, capsys, monkeypatch, error, target, argv):
+        import wedgeshift.cli as cli
+
+        # the repr names the exception and escapes a newline in its message
+        for exc in (error(), error("two\nlines")):
+            def exhausted(*a, **k):
+                raise exc
+
+            monkeypatch.setattr(cli, target, exhausted)
+            assert run(capsys, *argv) == (3, "", f"budget: {exc!r}\n")
+
 
 class TestRecordValidation:
     """Mistyped record fields exit 1 with a message, never a traceback."""

@@ -1,12 +1,10 @@
 """Multivectors, the wedge product, and extended matrix actions."""
 
-import functools
 import itertools
 import random
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, lcm
 
 import pytest
 
@@ -28,6 +26,7 @@ from wedgeshift import (
     wedge,
 )
 from wedgeshift.exterior import integer_terms, wedge_core
+from oracles import parent_wedge, reference_self_annihilating
 from linear_maps import compose, diagonal, identity, is_invertible, shear, weight_diagonal
 from wedgeshift.sampling import (
     random_invertible,
@@ -226,38 +225,6 @@ class TestWedgeProperties:
         _given(cases, check)
 
 
-def parent_wedge(x, y):
-    """The wedge as one function, before the integer core was split out:
-    both factors are rescaled on every call.  Kept as the reference of the
-    differential tests of the core."""
-    if x.n != y.n:
-        raise GroundMismatchError(f"ground dimensions differ: {x.n} vs {y.n}")
-    n = x.n
-    a = lcm(*(c.denominator for c in x.terms.values()))
-    b = lcm(*(c.denominator for c in y.terms.values()))
-    by_grade = {}
-    for sy, c in y.terms.items():
-        by_grade.setdefault(len(sy), {})[sy] = c.numerator * (b // c.denominator)
-    acc = {}
-    for sx, c in x.terms.items():
-        cx = c.numerator * (a // c.denominator)
-        free = n - len(sx)
-        for g, ys in by_grade.items():
-            if comb(free, g) < len(ys):
-                for sy, sup, sign in exterior._partners(n, sx, g):
-                    cy = ys.get(sy)
-                    if cy is not None:
-                        acc[sup] = acc.get(sup, 0) + sign * cx * cy
-            else:
-                setx = set(sx)
-                for sy, cy in ys.items():
-                    if setx.isdisjoint(sy):
-                        sup = tuple(sorted(sx + sy))
-                        acc[sup] = acc.get(sup, 0) + merge_sign(sx, sy) * cx * cy
-    d = a * b
-    return Multivector(n, {sup: Fraction(v, d) for sup, v in acc.items() if v})
-
-
 # Large primes: coefficients over them have pairwise coprime denominators.
 _PRIMES = (1009, 10007, 100003, 1000003, 10000019, 2**31 - 1, 2**61 - 1)
 
@@ -319,14 +286,6 @@ class TestIntegerCore:
             wedge(e(3, 1), e(3, 2), e(4, 3))
 
 
-def reference_self_annihilating(V, s):
-    """Every s-fold product of canonical rows, taken in full by parent_wedge."""
-    return all(
-        functools.reduce(parent_wedge, combo).is_zero
-        for combo in itertools.combinations_with_replacement(V.rows, s)
-    )
-
-
 class TestSelfAnnihilatingDifferential:
     def test_matches_parent_wedge(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -353,19 +312,18 @@ class TestSelfAnnihilatingDifferential:
         def monomials(*sets):
             return Subspace(MonomialOrder("lex", 6, 2), [Multivector.monomial(6, s) for s in sets])
 
-        # explicit examples pin all four outcomes; the drawn ones vary by run
+        # explicit examples pin both outcomes; the drawn ones vary by run
         @hypothesis.settings(max_examples=80, deadline=None, database=None)
         @hypothesis.given(subspaces())
         @hypothesis.example(monomials((1, 2), (1, 3), (1, 4)))
         @hypothesis.example(monomials((1, 2), (3, 4), (5, 6)))
         def check(V):
-            for s in (2, 3):
-                got = self_annihilating(V, s)
-                assert got == reference_self_annihilating(V, s), (V, s)
-                outcomes.add((s, got))
+            got = self_annihilating(V)
+            assert got == reference_self_annihilating(V), V
+            outcomes.add(got)
 
         check()
-        assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+        assert outcomes == {True, False}
 
     def test_images_and_near_misses(self):
         """Images of intersecting monomial spans under invertible maps are
@@ -399,11 +357,10 @@ class TestSelfAnnihilatingDifferential:
         outcomes = set()
 
         def compare(V, near):
-            for s in (2, 3):
-                got = self_annihilating(V, s)
-                assert got == reference_self_annihilating(V, s), (V, s)
-                assert got or near, V
-                outcomes.add((near, got))
+            got = self_annihilating(V)
+            assert got == reference_self_annihilating(V), V
+            assert got or near, V
+            outcomes.add((near, got))
 
         @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True,
                              phases=[hypothesis.Phase.generate])

@@ -27,13 +27,8 @@ from wedgeshift import (
     wedge,
 )
 from oracles import apply_map, contains, intersect
-from samplers import random_upper_triangular, star_family
+from samplers import monomial_span, random_upper_triangular, star_family
 from wedgeshift.sampling import random_invertible, random_multivector, random_rational
-
-
-def monomial_span(n, k, sets):
-    order = MonomialOrder("lex", n, k)
-    return span([Multivector.monomial(n, s) for s in sets], order) if sets else span([], order)
 
 
 class TestLinearFactors:

@@ -13,9 +13,8 @@ from math import lcm
 import pytest
 
 from linear_maps import shear, shift_map, weight_diagonal
-from test_exterior import parent_wedge
-from oracles import apply_map
-from samplers import random_intersecting_family, random_upper_triangular, star_family
+from oracles import apply_map, kernel, parent_wedge
+from samplers import monomial_span, random_intersecting_family, random_upper_triangular, star_family
 from wedgeshift import (
     BudgetExceededError,
     IterationLimitError,
@@ -39,11 +38,6 @@ from wedgeshift.cli import main
 from wedgeshift.limits import ROUTES, _status
 from wedgeshift.sampling import random_invertible, random_rational, random_subspace
 from wedgeshift.subspace import _lift, _pluecker_vector
-
-
-def monomial_span(n, k, sets, kind="lex"):
-    order = MonomialOrder(kind, n, k)
-    return span([Multivector.monomial(n, s) for s in sets], order) if sets else span([], order)
 
 
 def all_pairs(n):
@@ -124,32 +118,6 @@ class TestLimitShift:
             assert self_annihilating(initial_subspace(V))
 
 
-def _dense_kernel(matrix, ncols):
-    """Basis of {x : A x = 0} by plain Gauss-Jordan over Fractions."""
-    rows = [list(r) for r in matrix]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, c in zip(rows, pivots):
-            vec[c] = -row[free]
-        basis.append(vec)
-    return basis
-
-
 def reference_limit_shift(V, p):
     """The stacked-column formula: phi(V) plus the members sum c_i r_i for which
     sum c_i phi(r_i) + sum d_j r_j = 0, from a dense kernel of the 2*dim
@@ -159,7 +127,7 @@ def reference_limit_shift(V, p):
     cols = [[x.terms.get(s, 0) for s in supports] for x in images + list(V.rows)]
     matrix = [list(row) for row in zip(*cols)]
     members = list(images)
-    for vec in _dense_kernel(matrix, len(cols)) if cols else []:
+    for vec in kernel(matrix, len(cols)) if cols else []:
         acc = Multivector.zero(V.n)
         for c, row in zip(vec, V.rows):
             acc = acc + row.scale(c)

@@ -8,39 +8,9 @@ from math import gcd
 
 import pytest
 
-from oracles import integer_row
+from oracles import integer_row, reduce_rows
 from wedgeshift.linalg import rref
 from wedgeshift.subspace import MonomialOrder
-
-
-def dense_rref(rows):
-    """The dense kernel as it was: a pivot is the first nonzero entry of its
-    column at or below the current row, and every row update touches every
-    column."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            mat[r], mat[piv] = mat[piv], mat[r]
-        p = mat[r][c]
-        if p != 1:
-            mat[r] = [v / p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
 
 
 # (rows, columns, rank, zero rows); rank None means full random entries
@@ -90,7 +60,7 @@ def test_matches_dense_rref(shape):
     for seed in range(15):
         rows = random_matrix(random.Random(seed), shape)
         ncols = SHAPES[shape][1]
-        expected_rows, expected_pivots = dense_rref(rows)
+        expected_rows, expected_pivots = reduce_rows(rows, ncols)
         for labels, key in labelings(ncols):
             sparse = [integer_row({labels[c]: v for c, v in enumerate(row)}) for row in rows]
             reduced, pivots = rref(sparse, key)

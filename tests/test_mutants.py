@@ -35,7 +35,8 @@ def test_killers_fail_on_the_mutant(mutant, tmp_path):
     text = target.read_text()
     assert text.count(mutant["old"]) == 1
     target.write_text(text.replace(mutant["old"], mutant["new"]))
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    # a cold child loads no third-party plugin: the killers need none
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
     for var in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX"):
         env.pop(var, None)
     proc = subprocess.run(

@@ -3,9 +3,10 @@
 ``pluecker_limit`` substitutes t = 2^L and chains the rows in integer wedges;
 ``self_annihilating`` packs the rows from the first one in place;
 ``factor._annihilator`` builds every column in one pass per vector.  Each is
-checked against a plain, unpacked loop written out in this file, and on
-fixed cases where too narrow a packing, an unrounded digit read or a dropped
-diagonal pair gives a wrong answer.  ``random_subspace`` is checked to draw
+checked against a plain, unpacked loop, written out in this file or, for
+self-annihilation, in ``oracles``, and on fixed cases where too narrow a
+packing, an unrounded digit read or a dropped diagonal pair gives a wrong
+answer.  ``random_subspace`` is checked to draw
 what the checked constructor draws.
 """
 
@@ -16,6 +17,7 @@ from math import comb
 
 import pytest
 
+from oracles import reference_self_annihilating
 from wedgeshift import (
     MonomialOrder,
     Multivector,
@@ -48,17 +50,6 @@ def reference_pluecker_limit(V, p):
         by_degree = [{sup: v for sup, v in c.items() if v} for c in step]
     top = max(deg for deg, c in enumerate(by_degree) if c)
     return _pluecker_vector(V.order, columns, by_degree[top])
-
-
-def reference_self_annihilating(V, s):
-    """Every s-fold product of integer rows, each taken in full, unpacked."""
-    for combo in itertools.combinations_with_replacement(V._rows, s):
-        acc = combo[0]
-        for x in combo[1:]:
-            acc = wedge_core(V.n, acc, x)
-        if acc:
-            return False
-    return True
 
 
 def reference_annihilator(n, vectors):
@@ -130,17 +121,16 @@ class TestSelfAnnihilatingKnown:
         rows = [{(1, 2): 3, (1, 4): 2}, {(1, 3): 1, (1, 4): -1}, {(2, 3): 1}]
         V = Subspace(MonomialOrder(kind, 4, 2), [Multivector(4, r) for r in rows])
         assert [dict(r) for r in V._rows] == rows
-        assert not reference_self_annihilating(V, 2)
+        assert not reference_self_annihilating(V)
         assert not self_annihilating(V)
 
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_only_the_diagonal_is_nonzero(self, s):
-        # one row, so every product is a power of it: u = e1^e2 + e3^e4 +
-        # e5^e6 has u^u = 2(e1^e2^e3^e4 + e1^e2^e5^e6 + e3^e4^e5^e6) and
-        # u^u^u = 6 e1^...^e6; all products of e1^e2 and e1^e3 repeat e1
+    def test_only_the_diagonal_is_nonzero(self):
+        # one row, so its only product is its square: u = e1^e2 + e3^e4 +
+        # e5^e6 has u^u = 2(e1^e2^e3^e4 + e1^e2^e5^e6 + e3^e4^e5^e6); all
+        # products of e1^e2 and e1^e3 repeat e1
         u = {(1, 2): 1, (3, 4): 1, (5, 6): 1}
-        assert not self_annihilating(lex(6, 2, u), s)
-        assert self_annihilating(lex(6, 2, {(1, 2): 1}, {(1, 3): 1}), s)
+        assert not self_annihilating(lex(6, 2, u))
+        assert self_annihilating(lex(6, 2, {(1, 2): 1}, {(1, 3): 1}))
 
 
 def _subspaces(st, max_k, max_m, wide):
@@ -193,13 +183,12 @@ class TestPackedDifferential:
         @hypothesis.example(lex(6, 2, {(1, 2): 1, (3, 4): 1, (5, 6): 1}))
         @hypothesis.example(lex(6, 3, {(1, 2, 3): 1}, {(1, 4, 5): 1}, {(1, 2, 6): -2}))
         def check(V):
-            for s in (2, 3):
-                got = self_annihilating(V, s)
-                assert got == reference_self_annihilating(V, s), (V, s)
-                outcomes.add((s, got))
+            got = self_annihilating(V)
+            assert got == reference_self_annihilating(V), V
+            outcomes.add(got)
 
         check()
-        assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+        assert outcomes == {True, False}
 
     def test_annihilator_matches_per_column_wedges(self):
         hypothesis = pytest.importorskip("hypothesis")
